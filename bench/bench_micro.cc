@@ -33,11 +33,12 @@
 // `--cache` runs the memoized-inference section (loam::cache): a paired
 // uncached-vs-cached selection sweep over one candidate corpus (asserting
 // bit-identical choices and predictions), a cold-vs-warm serve soak with the
-// cross-request cache's hit rates, and a serial-vs-parallel gate-replay
-// timing, emitting BENCH_cache.json (path override: --cache-json=PATH).
-// Exits nonzero when any cached result diverges from its uncached twin or
-// the warm selection speedup falls below 1.5x — tools/check.sh runs this as
-// the cache perf smoke test.
+// cross-request cache's hit rates and explore-memo hits/misses per pass, and
+// a serial-vs-parallel gate-replay timing, emitting BENCH_cache.json (path
+// override: --cache-json=PATH). Exits nonzero when any cached result
+// diverges from its uncached twin, a warm serve decision diverges from its
+// cold one, or the warm selection speedup falls below 1.5x — tools/check.sh
+// runs this as the cache perf smoke test.
 //
 // `--overload` runs the BBR-pacing overload section: a paced service is fed
 // open-loop arrival streams at 1x/2x/5x/10x its closed-loop capacity,
@@ -1084,12 +1085,40 @@ int run_cache(const std::string& json_path) {
   std::vector<double> cold_lat, warm_lat;
   cold_lat.reserve(soak.size());
   warm_lat.reserve(soak.size());
-  for (int pass = 0; pass < 2; ++pass) {
-    std::vector<double>& lat = pass == 0 ? cold_lat : warm_lat;
-    for (const warehouse::Query& q : soak) {
-      const serve::ServeDecision d = service.optimize(q);
-      lat.push_back(d.total_seconds);
+  // Three passes over the same stream: cold, a repeat that admits every
+  // query into the explore memo (admission is on the second miss), and
+  // warm, which must be served from the memo and decide exactly as the
+  // cold pass did (same candidate plans, choice, and score bits).
+  std::vector<serve::ServeDecision> cold_decisions;
+  cold_decisions.reserve(soak.size());
+  cache::CacheStats explore_pass[3];
+  bool warm_matches_cold = true;
+  for (int pass = 0; pass < 3; ++pass) {
+    const cache::CacheStats before = service.shard(0).explore_stats();
+    for (std::size_t i = 0; i < soak.size(); ++i) {
+      serve::ServeDecision d = service.optimize(soak[i]);
+      if (pass == 0) {
+        cold_lat.push_back(d.total_seconds);
+        cold_decisions.push_back(std::move(d));
+        continue;
+      }
+      if (pass == 1) continue;
+      warm_lat.push_back(d.total_seconds);
+      const serve::ServeDecision& c = cold_decisions[i];
+      bool same = d.chosen == c.chosen && d.predicted == c.predicted &&
+                  d.generation.plans.size() == c.generation.plans.size();
+      for (std::size_t p = 0; same && p < c.generation.plans.size(); ++p) {
+        same = d.generation.plans[p].signature() ==
+               c.generation.plans[p].signature();
+      }
+      if (!same) {
+        warm_matches_cold = false;
+        std::fprintf(stderr, "FAIL: warm serve decision %zu diverges\n", i);
+      }
     }
+    const cache::CacheStats after = service.shard(0).explore_stats();
+    explore_pass[pass].hits = after.hits - before.hits;
+    explore_pass[pass].misses = after.misses - before.misses;
   }
   const cache::CacheStats serve_score = service.inference_cache().score_stats();
   const cache::CacheStats serve_enc = service.inference_cache().encoding_stats();
@@ -1106,6 +1135,16 @@ int run_cache(const std::string& json_path) {
       "hit rate %.3f | encoding hit rate %.3f\n",
       cold_p50, cold_p99, warm_p50, warm_p99, serve_score.hit_rate(),
       serve_enc.hit_rate());
+  std::printf(
+      "explore memo hits/misses: cold %llu/%llu | repeat %llu/%llu | warm "
+      "%llu/%llu | warm matches cold %s\n",
+      static_cast<unsigned long long>(explore_pass[0].hits),
+      static_cast<unsigned long long>(explore_pass[0].misses),
+      static_cast<unsigned long long>(explore_pass[1].hits),
+      static_cast<unsigned long long>(explore_pass[1].misses),
+      static_cast<unsigned long long>(explore_pass[2].hits),
+      static_cast<unsigned long long>(explore_pass[2].misses),
+      warm_matches_cold ? "yes" : "NO");
 
   // Gate replay: the serial loop vs the ThreadPool grid at 8 threads. The
   // speedup scales with physical cores; hardware_concurrency is recorded so
@@ -1156,7 +1195,16 @@ int run_cache(const std::string& json_path) {
        << "}, \"warm_ms\": {\"p50\": " << warm_p50
        << ", \"p99\": " << warm_p99
        << "}, \"score_hit_rate\": " << serve_score.hit_rate()
-       << ", \"encoding_hit_rate\": " << serve_enc.hit_rate() << "},\n"
+       << ", \"encoding_hit_rate\": " << serve_enc.hit_rate()
+       << ",\n    \"explore\": {\"cold_hits\": " << explore_pass[0].hits
+       << ", \"cold_misses\": " << explore_pass[0].misses
+       << ", \"repeat_hits\": " << explore_pass[1].hits
+       << ", \"repeat_misses\": " << explore_pass[1].misses
+       << ", \"warm_hits\": " << explore_pass[2].hits
+       << ", \"warm_misses\": " << explore_pass[2].misses
+       << ", \"warm_hit_rate\": " << explore_pass[2].hit_rate()
+       << "}, \"warm_matches_cold\": "
+       << (warm_matches_cold ? "true" : "false") << "},\n"
        << "  \"gate_replay\": {\"queries\": " << gate_queries.size()
        << ", \"runs\": 5, \"serial_ms\": " << replay_serial_ms
        << ", \"parallel_ms\": " << replay_parallel_ms
@@ -1165,7 +1213,7 @@ int run_cache(const std::string& json_path) {
        << ", \"hardware_concurrency\": " << cores << "}\n}\n";
   std::printf("\nwrote %s\n", json_path.c_str());
 
-  if (!select_identical || !replay_identical) {
+  if (!select_identical || !replay_identical || !warm_matches_cold) {
     std::fprintf(stderr, "FAIL: cached/parallel results diverge from serial\n");
     return 1;
   }

@@ -44,65 +44,53 @@ std::uint64_t InferenceCache::score_key(std::uint64_t plan_key,
                  static_cast<std::uint64_t>(model_epoch));
 }
 
-InferenceCache::InferenceCache(const std::string& name, CacheConfig config)
-    : config_(config),
-      encodings_(config.enabled ? config.encoding_capacity : 0, config.shards),
-      scores_(config.enabled ? config.score_capacity : 0, config.shards) {
+TableMetrics::TableMetrics(const std::string& prefix) {
   obs::Registry& reg = obs::Registry::instance();
-  const std::string p = "loam.cache." + name;
-  c_enc_hits_ = reg.counter(p + ".enc.hits");
-  c_enc_misses_ = reg.counter(p + ".enc.misses");
-  c_enc_inserts_ = reg.counter(p + ".enc.inserts");
-  c_enc_evictions_ = reg.counter(p + ".enc.evictions");
-  c_score_hits_ = reg.counter(p + ".score.hits");
-  c_score_misses_ = reg.counter(p + ".score.misses");
-  c_score_inserts_ = reg.counter(p + ".score.inserts");
-  c_score_evictions_ = reg.counter(p + ".score.evictions");
-  g_enc_size_ = reg.gauge(p + ".enc.size");
-  g_score_size_ = reg.gauge(p + ".score.size");
+  hits_ = reg.counter(prefix + ".hits");
+  misses_ = reg.counter(prefix + ".misses");
+  inserts_ = reg.counter(prefix + ".inserts");
+  evictions_ = reg.counter(prefix + ".evictions");
+  size_ = reg.gauge(prefix + ".size");
 }
 
+void TableMetrics::on_get(bool hit) const { (hit ? hits_ : misses_)->add(); }
+
+bool TableMetrics::on_put(PutOutcome outcome) const {
+  if (outcome != PutOutcome::kInserted &&
+      outcome != PutOutcome::kInsertedEvicting) {
+    return false;
+  }
+  inserts_->add();
+  if (outcome == PutOutcome::kInsertedEvicting) evictions_->add();
+  return obs::metrics_on();
+}
+
+void TableMetrics::set_size(std::size_t size) const {
+  size_->set(static_cast<double>(size));
+}
+
+InferenceCache::InferenceCache(const std::string& name, CacheConfig config)
+    : config_(config),
+      encodings_("loam.cache." + name + ".enc", config.encoding_capacity,
+                 config),
+      scores_("loam.cache." + name + ".score", config.score_capacity, config) {}
+
 std::shared_ptr<const nn::Tree> InferenceCache::get_encoding(std::uint64_t key) {
-  if (!config_.enabled) return nullptr;
   std::optional<std::shared_ptr<const nn::Tree>> hit = encodings_.get(key);
-  (hit ? c_enc_hits_ : c_enc_misses_)->add();
   return hit ? std::move(*hit) : nullptr;
 }
 
 void InferenceCache::put_encoding(std::uint64_t key,
                                   std::shared_ptr<const nn::Tree> tree) {
-  if (!config_.enabled || tree == nullptr) return;
-  using Lru = ShardedLru<std::shared_ptr<const nn::Tree>>;
-  const Lru::PutOutcome out = encodings_.put(key, std::move(tree));
-  if (out == Lru::PutOutcome::kInserted ||
-      out == Lru::PutOutcome::kInsertedEvicting) {
-    c_enc_inserts_->add();
-  }
-  if (out == Lru::PutOutcome::kInsertedEvicting) c_enc_evictions_->add();
-  if (obs::metrics_on()) {
-    g_enc_size_->set(static_cast<double>(encodings_.size()));
-  }
+  if (tree != nullptr) encodings_.put(key, std::move(tree));
 }
 
 std::optional<double> InferenceCache::get_score(std::uint64_t key) {
-  if (!config_.enabled) return std::nullopt;
-  std::optional<double> hit = scores_.get(key);
-  (hit ? c_score_hits_ : c_score_misses_)->add();
-  return hit;
+  return scores_.get(key);
 }
 
 void InferenceCache::put_score(std::uint64_t key, double score) {
-  if (!config_.enabled) return;
-  using Lru = ShardedLru<double>;
-  const Lru::PutOutcome out = scores_.put(key, score);
-  if (out == Lru::PutOutcome::kInserted ||
-      out == Lru::PutOutcome::kInsertedEvicting) {
-    c_score_inserts_->add();
-  }
-  if (out == Lru::PutOutcome::kInsertedEvicting) c_score_evictions_->add();
-  if (obs::metrics_on()) {
-    g_score_size_->set(static_cast<double>(scores_.size()));
-  }
+  scores_.put(key, score);
 }
 
 void InferenceCache::clear() {

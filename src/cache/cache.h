@@ -26,7 +26,8 @@
 // Metrics: loam.cache.<name>.{enc,score}.{hits,misses,inserts,evictions}
 // counters plus loam.cache.<name>.{enc,score}.size gauges (obs-gated; the
 // always-on CacheStats counters on the LRU itself serve tests and
-// BENCH_cache.json).
+// BENCH_cache.json). MemoTable packages an LRU with that mirror so other
+// memo tables in a cache scope (serve's explore memo) export alike.
 #ifndef LOAM_CACHE_CACHE_H_
 #define LOAM_CACHE_CACHE_H_
 
@@ -61,6 +62,63 @@ struct CacheConfig {
   std::size_t encoding_capacity = 4096;   // featurized plans
   std::size_t score_capacity = 1 << 16;   // final ranker/predictor scores
   int shards = 8;                         // lock stripes per table
+};
+
+// Obs mirror of one memo table: loam.cache.<scope>.<table>.{hits,misses,
+// inserts,evictions} counters plus a .size gauge.
+class TableMetrics {
+ public:
+  // `prefix` is the full series stem, e.g. "loam.cache.serve.score".
+  explicit TableMetrics(const std::string& prefix);
+  void on_get(bool hit) const;
+  // Returns true when the caller should refresh the size gauge (obs on and
+  // the put created an entry) — size() walks every stripe, so it is only
+  // paid when someone is recording.
+  bool on_put(PutOutcome outcome) const;
+  void set_size(std::size_t size) const;
+
+ private:
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* inserts_;
+  obs::Counter* evictions_;
+  obs::Gauge* size_;
+};
+
+// One metered memo table: a ShardedLru plus its TableMetrics. A disabled
+// table (CacheConfig::enabled == false) is never consulted — every get is
+// an uncounted miss and every put is dropped.
+template <typename Value>
+class MemoTable {
+ public:
+  MemoTable(const std::string& prefix, std::size_t capacity,
+            const CacheConfig& config)
+      : enabled_(config.enabled),
+        lru_(config.enabled ? capacity : 0, config.shards),
+        metrics_(prefix) {}
+
+  std::optional<Value> get(std::uint64_t key) {
+    if (!enabled_) return std::nullopt;
+    std::optional<Value> hit = lru_.get(key);
+    metrics_.on_get(hit.has_value());
+    return hit;
+  }
+
+  void put(std::uint64_t key, Value value) {
+    if (!enabled_) return;
+    if (metrics_.on_put(lru_.put(key, std::move(value)))) {
+      metrics_.set_size(lru_.size());
+    }
+  }
+
+  void clear() { lru_.clear(); }
+  CacheStats stats() const { return lru_.stats(); }
+  std::size_t size() const { return lru_.size(); }
+
+ private:
+  bool enabled_;
+  ShardedLru<Value> lru_;
+  TableMetrics metrics_;
 };
 
 class InferenceCache {
@@ -99,19 +157,8 @@ class InferenceCache {
 
  private:
   CacheConfig config_;
-  ShardedLru<std::shared_ptr<const nn::Tree>> encodings_;
-  ShardedLru<double> scores_;
-  // Obs mirror (pointer-stable registry handles, recording is branch-gated).
-  obs::Counter* c_enc_hits_;
-  obs::Counter* c_enc_misses_;
-  obs::Counter* c_enc_inserts_;
-  obs::Counter* c_enc_evictions_;
-  obs::Counter* c_score_hits_;
-  obs::Counter* c_score_misses_;
-  obs::Counter* c_score_inserts_;
-  obs::Counter* c_score_evictions_;
-  obs::Gauge* g_enc_size_;
-  obs::Gauge* g_score_size_;
+  MemoTable<std::shared_ptr<const nn::Tree>> encodings_;
+  MemoTable<double> scores_;
 };
 
 }  // namespace loam::cache

@@ -50,6 +50,10 @@ struct CacheStats {
   }
 };
 
+// What a put() did — callers mirroring the event into obs counters need
+// the outcome, and racing on before/after stats() deltas would miscount.
+enum class PutOutcome { kInserted, kUpdated, kInsertedEvicting, kDropped };
+
 template <typename Value>
 class ShardedLru {
  public:
@@ -84,9 +88,7 @@ class ShardedLru {
     return it->second->second;
   }
 
-  // What a put() did — callers mirroring the event into obs counters need
-  // the outcome, and racing on before/after stats() deltas would miscount.
-  enum class PutOutcome { kInserted, kUpdated, kInsertedEvicting, kDropped };
+  using PutOutcome = cache::PutOutcome;
 
   // Inserts or overwrites; the entry becomes most-recently-used. Evicts the
   // stripe's least-recently-used entry when the stripe is full.

@@ -8,6 +8,7 @@
 #ifndef LOAM_CORE_COST_MODEL_H_
 #define LOAM_CORE_COST_MODEL_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,18 @@ class CostModel {
   virtual std::size_t model_bytes() const = 0;
   virtual std::string name() const = 0;
 };
+
+// Index of the lowest predicted cost; ties resolve to the first candidate.
+// The selection rule of every serving-time scorer.
+inline int argmin(std::span<const double> costs) {
+  int best = 0;
+  for (std::size_t i = 1; i < costs.size(); ++i) {
+    if (costs[i] < costs[static_cast<std::size_t>(best)]) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
 
 // Shared target transform: models regress z = (log1p(cost) - mu) / sd.
 struct LogCostScaler {

@@ -201,4 +201,15 @@ void PlanEncoder::encode_attr_row(const PlanNode& node, std::span<float> row) co
   }
 }
 
+std::vector<nn::Tree> encode_candidates(
+    const PlanEncoder& encoder, const std::vector<warehouse::Plan>& plans,
+    const std::optional<warehouse::EnvFeatures>& env) {
+  std::vector<nn::Tree> trees;
+  trees.reserve(plans.size());
+  for (const warehouse::Plan& plan : plans) {
+    trees.push_back(encoder.encode(plan, nullptr, env));
+  }
+  return trees;
+}
+
 }  // namespace loam::core

@@ -109,6 +109,13 @@ class PlanEncoder {
       row_cache_;
 };
 
+// Encodes a candidate set for scoring under one fixed environment for every
+// node (std::nullopt zero-fills the environment block) — the inference-path
+// encode shared by every serving-time scorer.
+std::vector<nn::Tree> encode_candidates(
+    const PlanEncoder& encoder, const std::vector<warehouse::Plan>& plans,
+    const std::optional<warehouse::EnvFeatures>& env);
+
 }  // namespace loam::core
 
 #endif  // LOAM_CORE_ENCODING_H_

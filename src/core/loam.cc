@@ -235,12 +235,8 @@ int LoamDeployment::select_with_strategy(const CandidateGeneration& generation,
   const std::size_t n = generation.plans.size();
   std::vector<double> preds(n, 0.0);
   if (!infer_cache_.enabled()) {
-    std::vector<nn::Tree> trees;
-    trees.reserve(n);
-    for (const Plan& plan : generation.plans) {
-      trees.push_back(encoder_.encode(plan, nullptr, enc_env));
-    }
-    preds = model_->predict_batch(trees);
+    preds = model_->predict_batch(
+        encode_candidates(encoder_, generation.plans, enc_env));
   } else {
     const double env_vals[4] = {env.cpu_idle, env.io_wait, env.load5_norm,
                                 env.mem_usage};

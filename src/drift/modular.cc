@@ -149,17 +149,8 @@ int ModularLearner::select_with(
   // The gate-closure twin of optimize()'s scoring loop: zero-filled
   // environment block, argmin with first-index tie break. predict_batch is
   // bit-identical per row to predict(), so gate verdicts replicate serving.
-  std::vector<nn::Tree> trees;
-  trees.reserve(generation.plans.size());
-  for (const warehouse::Plan& p : generation.plans) {
-    trees.push_back(encoder.encode(p, nullptr, std::nullopt));
-  }
-  const std::vector<double> scores = model.predict_batch(trees);
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(scores.size()); ++i) {
-    if (scores[i] < scores[best]) best = i;
-  }
-  return best;
+  return core::argmin(model.predict_batch(
+      core::encode_candidates(encoder, generation.plans, std::nullopt)));
 }
 
 ModularLearner::Decision ModularLearner::optimize(

@@ -99,7 +99,7 @@ OptimizerService::OptimizerService(core::ProjectRuntime* runtime,
     env.num_shards = config_.num_shards;
     env.config = &config_;
     env.encoder = &encoder_;
-    env.env_context = &env_context_;
+    env.serving_env = serving_env();
     env.native = &runtime_->optimizer();
     env.swap_epoch = &swap_epoch_;
     env.announcement = [this] { return announce_slot_.load(); };
@@ -181,26 +181,15 @@ ServeDecision OptimizerService::optimize(Query query) {
   return future.get();
 }
 
-std::vector<nn::Tree> OptimizerService::encode_candidates(
-    const CandidateGeneration& generation) const {
-  const bool use_env = config_.encoding.include_env;
-  const EnvFeatures rep = env_context_.representative;
-  std::vector<nn::Tree> trees;
-  trees.reserve(generation.plans.size());
-  for (const warehouse::Plan& plan : generation.plans) {
-    trees.push_back(encoder_.encode(
-        plan, nullptr,
-        use_env ? std::optional<EnvFeatures>(rep) : std::nullopt));
-  }
-  return trees;
+int OptimizerService::select_with(const core::CostModel& model,
+                                  const CandidateGeneration& generation) const {
+  return core::argmin(model.predict_batch(
+      core::encode_candidates(encoder_, generation.plans, serving_env())));
 }
 
-int OptimizerService::argmin(const std::vector<double>& v) {
-  int best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] < v[static_cast<std::size_t>(best)]) best = static_cast<int>(i);
-  }
-  return best;
+std::optional<EnvFeatures> OptimizerService::serving_env() const {
+  if (!config_.encoding.include_env) return std::nullopt;
+  return env_context_.representative;
 }
 
 // ---------------------------------------------------------------------------
@@ -246,11 +235,8 @@ void OptimizerService::record_feedback(const ServeDecision& decision,
     FeedbackRecord cand;
     cand.kind = FeedbackRecord::Kind::kCandidate;
     cand.day = decision.submit_day;
-    cand.tree = encoder_.encode(
-        decision.generation.plans[c], nullptr,
-        config_.encoding.include_env
-            ? std::optional<EnvFeatures>(env_context_.representative)
-            : std::nullopt);
+    cand.tree =
+        encoder_.encode(decision.generation.plans[c], nullptr, serving_env());
     journal_.append(decision.shard, cand);
     ++added;
   }
@@ -368,7 +354,7 @@ bool OptimizerService::retrain_sync() {
     report = core::evaluate_selection(
         *runtime_,
         [this, raw](const CandidateGeneration& gen) {
-          return argmin(raw->predict_batch(encode_candidates(gen)));
+          return select_with(*raw, gen);
         },
         config_.explorer, first_day, gc);
   }
@@ -450,7 +436,7 @@ bool OptimizerService::try_publish_quantized(
     report = core::evaluate_selection(
         *runtime_,
         [this, raw](const CandidateGeneration& gen) {
-          return argmin(raw->predict_batch(encode_candidates(gen)));
+          return select_with(*raw, gen);
         },
         config_.explorer, first_day, gc);
   }
@@ -524,11 +510,7 @@ void OptimizerService::bootstrap_journal() {
       FeedbackRecord cand;
       cand.kind = FeedbackRecord::Kind::kCandidate;
       cand.day = r->day;
-      cand.tree = encoder_.encode(
-          gen.plans[c], nullptr,
-          config_.encoding.include_env
-              ? std::optional<EnvFeatures>(env_context_.representative)
-              : std::nullopt);
+      cand.tree = encoder_.encode(gen.plans[c], nullptr, serving_env());
       journal_.append(static_cast<int>(shard_of(r->query)), cand);
       ++added;
     }

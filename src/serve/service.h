@@ -170,11 +170,14 @@ class OptimizerService {
   }
   static std::int64_t obs_now_ns();
 
-  // Encodes a candidate set under the representative environment (gate
-  // selector + bootstrap; shards carry their own copy of this logic).
-  std::vector<nn::Tree> encode_candidates(
-      const core::CandidateGeneration& generation) const;
-  static int argmin(const std::vector<double>& v);
+  // Model selection as serving does it — candidates encoded under the
+  // representative environment, lowest predicted cost wins — for the
+  // deployment gate's replays.
+  int select_with(const core::CostModel& model,
+                  const core::CandidateGeneration& generation) const;
+  // Environment every serving-time encode uses: the representative one, or
+  // none under the no-env ablation.
+  std::optional<warehouse::EnvFeatures> serving_env() const;
 
   void bootstrap_journal();
   void retrain_task();

@@ -27,6 +27,15 @@ std::string cache_scope(int index, int num_shards) {
   return "serve.s" + std::to_string(index);
 }
 
+// The no-env encoding reads none of the four values; give it its own
+// fingerprint so it cannot alias an all-zero environment.
+std::uint64_t env_fingerprint(const std::optional<EnvFeatures>& env) {
+  if (!env) return 0x9e1debull;
+  const double vals[4] = {env->cpu_idle, env->io_wait, env->load5_norm,
+                          env->mem_usage};
+  return cache::fingerprint(vals);
+}
+
 }  // namespace
 
 ServeShard::ServeShard(Env env)
@@ -34,6 +43,11 @@ ServeShard::ServeShard(Env env)
       explorer_(env_.native, env_.config->explorer),
       infer_cache_(cache_scope(env_.index, env_.num_shards),
                    env_.config->cache),
+      explore_memo_("loam.cache." + cache_scope(env_.index, env_.num_shards) +
+                        ".explore",
+                    kExploreMemoCapacity, env_.config->cache),
+      seen_once_(kDoorkeeperCapacity, 1),
+      env_fp_(env_fingerprint(env_.serving_env)),
       pacing_(env_.config->pacing, env_.config->max_batch),
       c_admitted_(obs::Registry::instance().counter(
           shard_series(env_.index, "requests_admitted"))),
@@ -239,26 +253,33 @@ std::shared_ptr<const ModelSnapshot> ServeShard::snapshot_for_batch() {
   return slot_.load();
 }
 
-std::vector<nn::Tree> ServeShard::encode_candidates(
-    const CandidateGeneration& generation) const {
-  const bool use_env = env_.config->encoding.include_env;
-  const EnvFeatures rep = env_.env_context->representative;
-  std::vector<nn::Tree> trees;
-  trees.reserve(generation.plans.size());
-  for (const warehouse::Plan& plan : generation.plans) {
-    trees.push_back(env_.encoder->encode(
-        plan, nullptr,
-        use_env ? std::optional<EnvFeatures>(rep) : std::nullopt));
+std::vector<std::uint64_t> ServeShard::explore_memoized(
+    const Query& query, CandidateGeneration* generation) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t key = query.signature();
+  if (std::optional<std::shared_ptr<const ExploreEntry>> hit =
+          explore_memo_.get(key)) {
+    // A copy of the candidate set a fresh explore would rebuild bit for
+    // bit; generation_seconds is what this request spent obtaining it.
+    *generation = (*hit)->generation;
+    generation->generation_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    return (*hit)->plan_sigs;
   }
-  return trees;
-}
-
-int ServeShard::argmin(const std::vector<double>& v) {
-  int best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] < v[static_cast<std::size_t>(best)]) best = static_cast<int>(i);
+  *generation = explorer_.explore(query);
+  std::vector<std::uint64_t> plan_sigs;
+  plan_sigs.reserve(generation->plans.size());
+  for (const warehouse::Plan& plan : generation->plans) {
+    plan_sigs.push_back(plan.signature());
   }
-  return best;
+  if (seen_once_.get(key).has_value()) {
+    explore_memo_.put(key, std::make_shared<const ExploreEntry>(
+                               ExploreEntry{*generation, plan_sigs}));
+  } else {
+    seen_once_.put(key, true);
+  }
+  return plan_sigs;
 }
 
 void ServeShard::process_batch(std::vector<Pending> batch) {
@@ -290,10 +311,11 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
   const std::shared_ptr<const ModelSnapshot> snapshot = snapshot_for_batch();
 
   // Explore per request, then score the union of every request's candidates
-  // with a single predict_batch call. With the inference cache on, a
-  // candidate whose (signature, env, registry-version) score is memoized
-  // skips encoding and inference entirely, and a candidate with a memoized
-  // encoding skips featurization; only true misses enter the forward pass.
+  // with a single predict_batch call. With the cache on, a query the shard
+  // has memoized skips exploration (explore memo), a candidate whose
+  // (signature, env, registry-version) score is memoized skips encoding and
+  // inference entirely, and a candidate with a memoized encoding skips
+  // featurization; only true misses enter the forward pass.
   // Scores are keyed by snapshot->version, so entries written under an older
   // model CANNOT hit after a hot-swap — and entries for a version stay valid
   // if a rollback reinstates it (same checkpoint, same scores).
@@ -309,12 +331,6 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
   std::vector<MissRef> misses;
   std::vector<nn::Tree> flat;  // cache-disabled path only
   std::vector<std::size_t> offsets(batch.size() + 1, 0);
-  const bool use_env = config.encoding.include_env;
-  const EnvFeatures rep = env_.env_context->representative;
-  const double env_vals[4] = {rep.cpu_idle, rep.io_wait, rep.load5_norm,
-                              rep.mem_usage};
-  const std::uint64_t env_fp =
-      use_env ? cache::fingerprint(env_vals) : 0x9e1debull;
   std::int64_t min_queue_ticks = -1;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ServeDecision& d = decisions[i];
@@ -329,30 +345,35 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
       min_queue_ticks = queue_ticks;
     }
     try {
-      d.generation = explorer_.explore(batch[i].query);
+      std::vector<std::uint64_t> plan_sigs;
+      if (!infer_cache_.enabled()) {
+        d.generation = explorer_.explore(batch[i].query);
+      } else {
+        plan_sigs = explore_memoized(batch[i].query, &d.generation);
+      }
       if (snapshot->model == nullptr) {
         // fall through to the fallback branch below
       } else if (!infer_cache_.enabled()) {
-        std::vector<nn::Tree> trees = encode_candidates(d.generation);
+        std::vector<nn::Tree> trees = core::encode_candidates(
+            *env_.encoder, d.generation.plans, env_.serving_env);
         for (nn::Tree& t : trees) flat.push_back(std::move(t));
       } else {
         d.predicted.assign(d.generation.plans.size(), 0.0);
         for (std::size_t c = 0; c < d.generation.plans.size(); ++c) {
-          const std::uint64_t psig = d.generation.plans[c].signature();
+          const std::uint64_t psig = plan_sigs[c];
           const std::uint64_t skey = cache::InferenceCache::score_key(
-              psig, env_fp, snapshot->version);
+              psig, env_fp_, snapshot->version);
           if (std::optional<double> hit = infer_cache_.get_score(skey);
               hit.has_value()) {
             d.predicted[c] = *hit;
             continue;
           }
           const std::uint64_t ekey =
-              cache::InferenceCache::encoding_key(psig, env_fp);
+              cache::InferenceCache::encoding_key(psig, env_fp_);
           std::shared_ptr<const nn::Tree> tree = infer_cache_.get_encoding(ekey);
           if (tree == nullptr) {
             tree = std::make_shared<const nn::Tree>(env_.encoder->encode(
-                d.generation.plans[c], nullptr,
-                use_env ? std::optional<EnvFeatures>(rep) : std::nullopt));
+                d.generation.plans[c], nullptr, env_.serving_env));
             infer_cache_.put_encoding(ekey, tree);
           }
           misses.push_back(MissRef{i, c, skey, std::move(tree)});
@@ -393,7 +414,7 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
             all_preds.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
             all_preds.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
       }
-      d.chosen = argmin(d.predicted);
+      d.chosen = core::argmin(d.predicted);
       d.predicted_cost =
           d.predicted.empty() ? 0.0
                               : d.predicted[static_cast<std::size_t>(d.chosen)];

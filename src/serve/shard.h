@@ -9,7 +9,8 @@
 //     explores identically wherever it lands),
 //   * its own PacingController, windowed filters, and cached cwnd /
 //     batch-target atomics (the lock-free admission fast path),
-//   * its own InferenceCache stripe (obs scope loam.cache.serve.s<K>.*),
+//   * its own InferenceCache stripe (obs scope loam.cache.serve.s<K>.*)
+//     and explore memo (loam.cache.serve.s<K>.explore.*),
 //   * its own ModelSnapshot slot, shed/fallback counters, and
 //     loam.serve.shard<K>.* obs series —
 //
@@ -42,6 +43,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -227,15 +229,17 @@ class ServeShard {
  public:
   // The shard's window onto the service. Pointers are non-owning and outlive
   // the shard; everything reachable through them is either immutable after
-  // service construction (config, encoder, env context, native optimizer) or
-  // safe for concurrent use (the epoch atomic, the announcement slot behind
-  // the callback).
+  // service construction (config, encoder, native optimizer) or safe for
+  // concurrent use (the epoch atomic, the announcement slot behind the
+  // callback).
   struct Env {
     int index = 0;
     int num_shards = 1;
     const ServeConfig* config = nullptr;
     const core::PlanEncoder* encoder = nullptr;
-    const core::EnvContext* env_context = nullptr;
+    // Environment every inference-path encode uses (none under the no-env
+    // ablation); resolved by the service.
+    std::optional<warehouse::EnvFeatures> serving_env;
     const warehouse::NativeOptimizer* native = nullptr;
     // Swap broadcast: bumped (release) by the service after it installs a new
     // snapshot in the announcement slot; `announcement()` loads that slot.
@@ -270,6 +274,7 @@ class ServeShard {
   // announced version may be one epoch ahead until the next batch boundary.
   int serving_version() const { return slot_.load()->version; }
   const cache::InferenceCache& inference_cache() const { return infer_cache_; }
+  cache::CacheStats explore_stats() const { return explore_memo_.stats(); }
 
  private:
   // A queued model-path request. Shed requests never become queue entries —
@@ -297,9 +302,30 @@ class ServeShard {
   // Batch-boundary epoch check: applies a pending announcement to this
   // shard's slot (measuring the pause), then returns the serving snapshot.
   std::shared_ptr<const ModelSnapshot> snapshot_for_batch();
-  std::vector<nn::Tree> encode_candidates(
-      const core::CandidateGeneration& generation) const;
-  static int argmin(const std::vector<double>& v);
+
+  // Explore-memo capacity, in queries. Sized from measured entry sizes
+  // (~17.9 KB per query on the recurring perfbench workload, ~8.7 KB on
+  // adhoc): at most ~18 MB per shard, and twice the 512-instance recurring
+  // pool even if the whole pool routed to one shard.
+  static constexpr std::size_t kExploreMemoCapacity = 1024;
+  // Doorkeeper capacity, in query signatures: a query is admitted if it
+  // misses again within this many distinct misses of its first one.
+  static constexpr std::size_t kDoorkeeperCapacity = 4 * kExploreMemoCapacity;
+
+  // One memoized exploration: the candidate set plus each plan's
+  // signature, which the score path keys on.
+  struct ExploreEntry {
+    core::CandidateGeneration generation;
+    std::vector<std::uint64_t> plan_sigs;
+  };
+  // Sets `*generation` to the exploration of `query` and returns its plan
+  // signatures: a copy of the memoized entry on a hit, a fresh explore on a
+  // miss. A miss is memoized only when the doorkeeper has seen the query
+  // before. Sound only because everything explore() reads besides the
+  // query — catalog, native optimizer, explorer config — is immutable for
+  // the shard's lifetime (see Env).
+  std::vector<std::uint64_t> explore_memoized(
+      const warehouse::Query& query, core::CandidateGeneration* generation);
 
   Env env_;
   // Per-shard explorer: same config as every other shard's, so exploration
@@ -309,6 +335,16 @@ class ServeShard {
   // Thread-safe internally (sharded LRUs); only this shard's batcher writes,
   // tests and stats readers may probe concurrently.
   mutable cache::InferenceCache infer_cache_;
+  // Query::signature() -> exploration. Written only by the batcher; off
+  // together with infer_cache_ (CacheConfig::enabled).
+  cache::MemoTable<std::shared_ptr<const ExploreEntry>> explore_memo_;
+  // Explore-memo doorkeeper: signatures of queries that missed once. A
+  // query enters the memo on its second miss, so never-repeated traffic
+  // pays no entry copy and keeps no entry resident: on the adhoc perfbench
+  // workload, memoizing every miss raised decide p50 by 25%.
+  cache::ShardedLru<bool> seen_once_;
+  // Fingerprint of env_.serving_env in the score/encoding keys.
+  const std::uint64_t env_fp_;
 
   SnapshotSlot slot_;
   std::uint64_t last_epoch_ = 0;  // batcher-thread state (+ ctor)

@@ -1,9 +1,11 @@
 #include "warehouse/query.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
+#include "util/hash.h"
 #include "warehouse/catalog.h"
 
 namespace loam::warehouse {
@@ -41,6 +43,56 @@ const char* filter_fn_name(FilterFn f) {
     case FilterFn::kIn: return "IN";
     default: return "?";
   }
+}
+
+namespace {
+
+// Order-sensitive combinator: lists hash by position, not as sets.
+std::uint64_t sig_combine(std::uint64_t h, std::uint64_t v) {
+  return mix64(h ^ (v * 0x9e3779b97f4a7c15ull) ^ 0x7f4a7c15ull);
+}
+
+std::uint64_t sig_int(std::uint64_t h, int v) {
+  return sig_combine(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+}
+
+}  // namespace
+
+std::uint64_t Query::signature() const {
+  // Every list is prefixed by its length, so fields cannot shift into each
+  // other's positions.
+  std::uint64_t h = sig_combine(0x9e1e5157ull, tables.size());
+  for (int t : tables) h = sig_int(h, t);
+  h = sig_combine(h, joins.size());
+  for (const JoinEdge& j : joins) {
+    h = sig_int(h, j.left_table);
+    h = sig_int(h, j.right_table);
+    h = sig_int(h, j.left_column);
+    h = sig_int(h, j.right_column);
+    h = sig_combine(h, static_cast<std::uint64_t>(j.form));
+  }
+  h = sig_combine(h, predicates.size());
+  for (const Predicate& p : predicates) {
+    h = sig_int(h, p.table_id);
+    h = sig_int(h, p.column);
+    h = sig_combine(h, p.fns.size());
+    for (FilterFn f : p.fns) h = sig_combine(h, static_cast<std::uint64_t>(f));
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &p.selectivity, sizeof(bits));
+    h = sig_combine(h, bits);
+  }
+  h = sig_combine(h, aggregation.has_value() ? 1 : 0);
+  if (aggregation) {
+    h = sig_combine(h, static_cast<std::uint64_t>(aggregation->fn));
+    h = sig_int(h, aggregation->table_id);
+    h = sig_int(h, aggregation->column);
+    h = sig_combine(h, aggregation->group_by.size());
+    for (auto [t, c] : aggregation->group_by) {
+      h = sig_int(h, t);
+      h = sig_int(h, c);
+    }
+  }
+  return h;
 }
 
 int Query::table_position(int table_id) const {

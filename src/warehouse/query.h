@@ -73,6 +73,13 @@ struct Query {
   std::uint64_t param_signature = 0;
   int submit_day = 0;
 
+  // Hash of every field the explorer and native optimizer read: tables,
+  // joins, predicates (selectivity by exact bits) and the aggregation. The
+  // provenance fields above are excluded — no optimizer reads them — so two
+  // instantiations that plan identically share a signature. Keys serve's
+  // explore memo (docs/CACHING.md).
+  std::uint64_t signature() const;
+
   int table_position(int table_id) const;
   // Predicates applying to a given base table.
   std::vector<const Predicate*> predicates_on(int table_id) const;

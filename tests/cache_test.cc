@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -243,6 +244,83 @@ TEST(SignatureKeyTest, JoinColumnOrderAndContentMatter) {
   Plan c = make_plan(0, 1, 100, OpType::kHashJoin);
   c.mutable_node(2).join_columns = {"t.a", "t.c"};
   EXPECT_NE(a.signature(), c.signature());
+}
+
+warehouse::Query make_query() {
+  warehouse::Query q;
+  q.tables = {3, 5, 7};
+  q.joins = {{3, 5, 0, 1, warehouse::JoinForm::kInner},
+             {5, 7, 2, 0, warehouse::JoinForm::kLeft}};
+  q.predicates = {{3, 1, {warehouse::FilterFn::kEq}, 0.25},
+                  {7, 2, {warehouse::FilterFn::kGe, warehouse::FilterFn::kLt},
+                   0.5}};
+  warehouse::Aggregation agg;
+  agg.fn = warehouse::AggFn::kSum;
+  agg.table_id = 5;
+  agg.column = 3;
+  agg.group_by = {{3, 2}};
+  q.aggregation = agg;
+  q.template_id = "tpl_a";
+  q.param_signature = 42;
+  q.submit_day = 1;
+  return q;
+}
+
+// The explore memo's key: every field the optimizer reads must move it, and
+// the provenance fields it never reads must not.
+TEST(SignatureKeyTest, QuerySignatureCoversOptimizerInputsOnly) {
+  using warehouse::Query;
+  const std::uint64_t base = make_query().signature();
+  EXPECT_EQ(make_query().signature(), base);
+
+  std::vector<std::pair<const char*, void (*)(Query&)>> perturbations = {
+      {"table", [](Query& q) { q.tables[1] = 6; }},
+      {"table order", [](Query& q) { std::swap(q.tables[0], q.tables[1]); }},
+      {"table dropped", [](Query& q) { q.tables.pop_back(); }},
+      {"join left table", [](Query& q) { q.joins[0].left_table = 7; }},
+      {"join right table", [](Query& q) { q.joins[0].right_table = 3; }},
+      {"join left column", [](Query& q) { q.joins[0].left_column = 4; }},
+      {"join right column", [](Query& q) { q.joins[1].right_column = 1; }},
+      {"join form",
+       [](Query& q) { q.joins[1].form = warehouse::JoinForm::kFullOuter; }},
+      {"join dropped", [](Query& q) { q.joins.pop_back(); }},
+      {"predicate table", [](Query& q) { q.predicates[0].table_id = 5; }},
+      {"predicate column", [](Query& q) { q.predicates[0].column = 2; }},
+      {"predicate fn",
+       [](Query& q) { q.predicates[0].fns[0] = warehouse::FilterFn::kNe; }},
+      {"predicate fn added",
+       [](Query& q) {
+         q.predicates[0].fns.push_back(warehouse::FilterFn::kLike);
+       }},
+      {"selectivity bits",
+       [](Query& q) {
+         q.predicates[1].selectivity =
+             std::nextafter(q.predicates[1].selectivity, 1.0);
+       }},
+      {"predicate dropped", [](Query& q) { q.predicates.pop_back(); }},
+      {"agg fn", [](Query& q) { q.aggregation->fn = warehouse::AggFn::kMax; }},
+      {"agg table", [](Query& q) { q.aggregation->table_id = 7; }},
+      {"agg column", [](Query& q) { q.aggregation->column = 1; }},
+      {"group by",
+       [](Query& q) { q.aggregation->group_by[0] = {3, 1}; }},
+      {"group by added",
+       [](Query& q) { q.aggregation->group_by.push_back({7, 0}); }},
+      {"agg dropped", [](Query& q) { q.aggregation.reset(); }},
+  };
+  std::set<std::uint64_t> seen = {base};
+  for (const auto& [name, perturb] : perturbations) {
+    Query q = make_query();
+    perturb(q);
+    const std::uint64_t sig = q.signature();
+    EXPECT_NE(sig, base) << name;
+    EXPECT_TRUE(seen.insert(sig).second) << name << " collides";
+  }
+
+  Query provenance = make_query();
+  provenance.template_id = "tpl_b";
+  provenance.param_signature = 43;
+  provenance.submit_day = 9;
+  EXPECT_EQ(provenance.signature(), base);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 // concurrent serving (the TSan gate certifies this suite), rollback while
 // sharded, per-shard overload shedding, and the house rule — for a fixed
 // shard count, model-path decisions are bit-identical at any submitter
-// thread count.
+// thread count — plus bit-identity of the explore memo across cache on/off,
+// shard counts, and a hot swap.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <future>
@@ -339,6 +341,129 @@ TEST(ShardedService, FixedShardCountDecisionsBitIdenticalAtAnyThreadCount) {
         // hits, and submitter interleaving must never perturb a score.
         EXPECT_EQ(parallel[i].predicted[c], serial[i].predicted[c])
             << i << ":" << c;
+      }
+    }
+  }
+}
+
+// The explore memo is performance-only, like the score and encoding tables:
+// a stream of repeated queries decides bit-identically with the cache on and
+// off, at 1 and 2 shards, across a mid-stream hot swap. With the cache on, a
+// query is memoized on its second miss and hits from then on under either
+// version, while the first pass under the new version re-scores every plan
+// it has not yet scored under it.
+TEST(ShardedService, ExploreMemoBitIdenticalWithCacheOnAndOff) {
+  ShardFixture fx("explorememo");
+  // Distinct instances by provenance, not by signature, so a memo key that
+  // conflated two of them would serve one the other's candidates.
+  std::vector<warehouse::Query> queries;
+  std::set<std::pair<std::string, std::uint64_t>> distinct;
+  for (warehouse::Query& q : fx.runtime->make_queries(5, 7, 12)) {
+    if (distinct.emplace(q.template_id, q.param_signature).second) {
+      queries.push_back(std::move(q));
+    }
+  }
+  ASSERT_GE(queries.size(), 8u);
+  const std::uint64_t n = queries.size();
+
+  auto run = [&](int shards, bool cache_on) {
+    const std::string tag =
+        std::to_string(shards) + (cache_on ? "_on" : "_off");
+    ServeConfig cfg = fx.config(shards);
+    cfg.bootstrap_from_history = false;
+    cfg.bootstrap_train = false;
+    cfg.auto_retrain = false;
+    cfg.cache.enabled = cache_on;
+    cfg.registry_root = fx.root + "/registry_" + tag;
+    cfg.journal_path = fx.root + "/feedback_" + tag + ".jnl";
+    OptimizerService service(fx.runtime.get(), cfg);
+    service.start();
+    EXPECT_EQ(service.publish_and_swap(untrained_model(service),
+                                       approved_meta()),
+              1);
+    auto summed = [&](bool explore) {
+      cache::CacheStats sum;
+      for (int k = 0; k < service.num_shards(); ++k) {
+        const cache::CacheStats st =
+            explore ? service.shard(k).explore_stats()
+                    : service.shard(k).inference_cache().score_stats();
+        sum.hits += st.hits;
+        sum.misses += st.misses;
+      }
+      return sum;
+    };
+
+    std::vector<ServeDecision> out;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const warehouse::Query& q : queries) {
+        out.push_back(service.optimize(q));
+      }
+    }
+    const cache::CacheStats explore_v1 = summed(true);
+    if (cache_on) {
+      // The first two passes explore (the second one memoizes); the third
+      // is served from the memo.
+      EXPECT_EQ(explore_v1.misses, 2 * n) << tag;
+      EXPECT_EQ(explore_v1.hits, n) << tag;
+    } else {
+      EXPECT_EQ(explore_v1.hits + explore_v1.misses, 0u) << tag;
+    }
+
+    core::PredictorConfig pc = service.config().predictor;
+    pc.seed += 1;
+    EXPECT_EQ(service.publish_and_swap(
+                  std::make_unique<core::AdaptiveCostPredictor>(
+                      service.encoder().feature_dim(), pc),
+                  approved_meta()),
+              2);
+    // Score keys carry the version: under v2 a plan hits only once this
+    // pass has scored it on the same shard.
+    std::set<std::pair<int, std::uint64_t>> scored_v2;
+    for (const warehouse::Query& q : queries) {
+      const std::uint64_t score_hits = summed(false).hits;
+      const ServeDecision d = service.optimize(q);
+      EXPECT_EQ(d.model_version, 2) << tag;
+      std::uint64_t expected_hits = 0;
+      for (const warehouse::Plan& p : d.generation.plans) {
+        expected_hits += scored_v2.emplace(d.shard, p.signature()).second ? 0 : 1;
+      }
+      if (cache_on) {
+        EXPECT_EQ(summed(false).hits - score_hits, expected_hits) << tag;
+      }
+      out.push_back(d);
+    }
+    if (cache_on) {
+      const cache::CacheStats explore_v2 = summed(true);
+      EXPECT_EQ(explore_v2.hits - explore_v1.hits, n) << tag;
+      EXPECT_EQ(explore_v2.misses, explore_v1.misses) << tag;
+    }
+    service.stop();
+    return out;
+  };
+
+  const std::vector<ServeDecision> reference = run(1, false);
+  ASSERT_EQ(reference.size(), 4 * n);
+  for (const auto& [shards, cache_on] :
+       std::vector<std::pair<int, bool>>{{1, true}, {2, false}, {2, true}}) {
+    const std::vector<ServeDecision> got = run(shards, cache_on);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const ServeDecision& a = reference[i];
+      const ServeDecision& b = got[i];
+      SCOPED_TRACE(::testing::Message() << "shards " << shards << " cache "
+                                        << cache_on << " request " << i);
+      ASSERT_EQ(b.model_version, a.model_version);
+      EXPECT_EQ(b.chosen, a.chosen);
+      EXPECT_EQ(b.generation.default_index, a.generation.default_index);
+      ASSERT_EQ(b.generation.plans.size(), a.generation.plans.size());
+      for (std::size_t c = 0; c < a.generation.plans.size(); ++c) {
+        EXPECT_EQ(b.generation.plans[c].signature(),
+                  a.generation.plans[c].signature());
+      }
+      ASSERT_EQ(b.predicted.size(), a.predicted.size());
+      for (std::size_t c = 0; c < a.predicted.size(); ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(b.predicted[c]),
+                  std::bit_cast<std::uint64_t>(a.predicted[c]));
       }
     }
   }

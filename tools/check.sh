@@ -27,8 +27,9 @@
 #     (BENCH_serve.json, fails if a swap ever pauses requests > 1 ms; also
 #     records the paired fp32-vs-int8 quantized serving leg);
 #   - memoized-inference bench (BENCH_cache.json, fails on any cached-vs-
-#     uncached or parallel-vs-serial divergence, or if the warm selection
-#     speedup falls below 1.5x);
+#     uncached or parallel-vs-serial divergence, if the warm selection
+#     speedup falls below 1.5x, or unless the warm serve pass is served
+#     entirely from the explore memo and decides as the cold pass did);
 #   - overload/pacing bench (BENCH_pacing.json, fails if any request is
 #     rejected at any load, or if p99 under 10x offered load exceeds 2x the
 #     1x baseline — the BBR-style shed-to-fallback claim);
@@ -151,10 +152,20 @@ EOF
 echo "== Memoized-inference bench (BENCH_cache.json) =="
 # Paired uncached-vs-cached selection sweep (bit-identity asserted in the
 # binary), cold-vs-warm serve soak, serial-vs-parallel gate replay; exits
-# non-zero on divergence or a warm selection speedup below 1.5x.
+# non-zero on divergence or a warm selection speedup below 1.5x. The soak
+# serves one stream three times (cold, a repeat that admits it into the
+# explore memo, warm): every warm request must hit the explore memo and
+# decide exactly as the cold pass did.
 "./${BUILD_DIR}/bench/bench_micro" --cache \
   --cache-json="${BUILD_DIR}/BENCH_cache.json"
-python3 -m json.tool "${BUILD_DIR}/BENCH_cache.json" > /dev/null
+python3 - "${BUILD_DIR}/BENCH_cache.json" <<'EOF'
+import json, sys
+soak = json.load(open(sys.argv[1]))["serve_soak"]
+explore = soak["explore"]
+assert explore["warm_misses"] == 0 and explore["warm_hit_rate"] == 1.0, explore
+assert explore["warm_hits"] == soak["requests_per_pass"], explore
+assert soak["warm_matches_cold"] is True, soak
+EOF
 
 echo "== Overload/pacing bench (BENCH_pacing.json) =="
 # Open-loop arrival phases at 1x/2x/5x/10x the saturated model-path capacity;
