@@ -766,20 +766,13 @@ int run_obs_overhead(const std::string& json_path) {
 // ---------------------------------------------------------------------------
 namespace serve_bench {
 
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t i = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(i, v.size() - 1)];
-}
-
-// Latency percentiles for --serve/--overload/--serve-scaling come from the
-// SAME interpolated fixed-bucket estimator the SLO engine reads
+// Latency percentiles for --serve/--cache/--overload/--serve-scaling come
+// from the SAME interpolated fixed-bucket estimator the SLO engine reads
 // (obs::histogram_quantile), so BENCH_*.json and alert thresholds agree on
 // one definition. 96 exponential buckets from 0.01 ms to ~6.8 s keep the
 // per-bucket resolution at 15% — interpolation error stays far inside the
-// 2x-p99 pacing gate's margin.
+// 2x-p99 pacing gate's margin. The bounds are unit-free: fed microseconds
+// (swap pauses) they span 0.01 us to ~6.8 ms at the same resolution.
 obs::FixedBucketQuantile latency_quantile_ms() {
   return obs::FixedBucketQuantile(
       obs::Histogram::exponential_bounds(0.01, 1.15, 96));
@@ -820,12 +813,14 @@ int run_serve(const std::string& json_path) {
 
   std::vector<warehouse::Query> queries = runtime.make_queries(3, 6, 160);
   std::vector<double> latencies(queries.size(), 0.0);
+  std::vector<double> queue_waits(queries.size(), 0.0);
   std::vector<int> batch_sizes(queries.size(), 0);
   std::atomic<bool> done{false};
   std::thread submitter([&] {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const serve::ServeDecision d = service.optimize(queries[i]);
       latencies[i] = d.total_seconds;
+      queue_waits[i] = d.queue_seconds;
       batch_sizes[i] = d.batch_size;
     }
     done.store(true, std::memory_order_release);
@@ -902,13 +897,21 @@ int run_serve(const std::string& json_path) {
   for (const double s : latencies) lat_q.observe(1e3 * s);
   const double p50_ms = lat_q.quantile(0.50);
   const double p99_ms = lat_q.quantile(0.99);
+  // Admission -> batch pickup: the wait the work-conserving batcher must
+  // keep below one batch's service time (no linger, no standing queue).
+  obs::FixedBucketQuantile queue_q = latency_quantile_ms();
+  for (const double s : queue_waits) queue_q.observe(1e3 * s);
+  const double queue_p50_ms = queue_q.quantile(0.50);
+  const double queue_p99_ms = queue_q.quantile(0.99);
   double batch_sum = 0.0;
   for (const int b : batch_sizes) batch_sum += b;
   const double swap_mean_us =
       swap_us.empty() ? 0.0
                       : std::accumulate(swap_us.begin(), swap_us.end(), 0.0) /
                             static_cast<double>(swap_us.size());
-  const double swap_p99_us = percentile(swap_us, 0.99);
+  obs::FixedBucketQuantile swap_q = latency_quantile_ms();
+  for (const double us : swap_us) swap_q.observe(us);
+  const double swap_p99_us = swap_q.quantile(0.99);
   const double swap_max_us =
       swap_us.empty() ? 0.0 : *std::max_element(swap_us.begin(), swap_us.end());
 
@@ -916,6 +919,8 @@ int run_serve(const std::string& json_path) {
   std::printf("requests %zu | latency p50 %.3f ms p99 %.3f ms | mean batch %.2f\n",
               queries.size(), p50_ms, p99_ms,
               batch_sum / static_cast<double>(queries.size()));
+  std::printf("queue wait p50 %.3f ms p99 %.3f ms\n", queue_p50_ms,
+              queue_p99_ms);
   std::printf("swaps %zu | pause mean %.2f us p99 %.2f us max %.2f us\n",
               swap_us.size(), swap_mean_us, swap_p99_us, swap_max_us);
   std::printf(
@@ -935,6 +940,8 @@ int run_serve(const std::string& json_path) {
        << "  \"requests\": " << queries.size() << ",\n"
        << "  \"latency_ms\": {\"p50\": " << p50_ms << ", \"p99\": " << p99_ms
        << "},\n"
+       << "  \"queue_wait_ms\": {\"p50\": " << queue_p50_ms
+       << ", \"p99\": " << queue_p99_ms << "},\n"
        << "  \"mean_batch_size\": "
        << batch_sum / static_cast<double>(queries.size()) << ",\n"
        << "  \"swaps\": " << swap_us.size() << ",\n"
@@ -1082,9 +1089,8 @@ int run_cache(const std::string& json_path) {
       meta);
 
   std::vector<warehouse::Query> soak = runtime.make_queries(6, 7, 64);
-  std::vector<double> cold_lat, warm_lat;
-  cold_lat.reserve(soak.size());
-  warm_lat.reserve(soak.size());
+  obs::FixedBucketQuantile cold_q = serve_bench::latency_quantile_ms();
+  obs::FixedBucketQuantile warm_q = serve_bench::latency_quantile_ms();
   // Three passes over the same stream: cold, a repeat that admits every
   // query into the explore memo (admission is on the second miss), and
   // warm, which must be served from the memo and decide exactly as the
@@ -1098,12 +1104,12 @@ int run_cache(const std::string& json_path) {
     for (std::size_t i = 0; i < soak.size(); ++i) {
       serve::ServeDecision d = service.optimize(soak[i]);
       if (pass == 0) {
-        cold_lat.push_back(d.total_seconds);
+        cold_q.observe(1e3 * d.total_seconds);
         cold_decisions.push_back(std::move(d));
         continue;
       }
       if (pass == 1) continue;
-      warm_lat.push_back(d.total_seconds);
+      warm_q.observe(1e3 * d.total_seconds);
       const serve::ServeDecision& c = cold_decisions[i];
       bool same = d.chosen == c.chosen && d.predicted == c.predicted &&
                   d.generation.plans.size() == c.generation.plans.size();
@@ -1125,10 +1131,10 @@ int run_cache(const std::string& json_path) {
   service.stop();
   fs::remove_all(dir);
 
-  const double cold_p50 = 1e3 * serve_bench::percentile(cold_lat, 0.50);
-  const double cold_p99 = 1e3 * serve_bench::percentile(cold_lat, 0.99);
-  const double warm_p50 = 1e3 * serve_bench::percentile(warm_lat, 0.50);
-  const double warm_p99 = 1e3 * serve_bench::percentile(warm_lat, 0.99);
+  const double cold_p50 = cold_q.quantile(0.50);
+  const double cold_p99 = cold_q.quantile(0.99);
+  const double warm_p50 = warm_q.quantile(0.50);
+  const double warm_p99 = warm_q.quantile(0.99);
   std::printf("== serve soak: cold vs warm request stream ==\n");
   std::printf(
       "cold p50 %.3f ms p99 %.3f ms | warm p50 %.3f ms p99 %.3f ms | score "

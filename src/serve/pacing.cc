@@ -22,9 +22,11 @@ void PacingController::reset(int initial_batch) {
   ppr_ = 0.0;
   rounds_ = 0;
   batch_target_ = clamp_batch(initial_batch);
+  inflight_floor_ =
+      std::max(config_.min_inflight, 2.0 * static_cast<double>(batch_target_));
   // Before any sample the window is permissive (STARTUP must be able to fill
   // the pipe to measure it); the floor still bounds a cold-start stampede.
-  cwnd_ = std::max(config_.min_inflight,
+  cwnd_ = std::max(inflight_floor_,
                    config_.startup_gain * static_cast<double>(batch_target_));
 }
 
@@ -84,8 +86,7 @@ void PacingController::advance_state(std::int64_t now, double inflight) {
     case State::kDrain:
       // The standing queue built during STARTUP has drained once inflight is
       // back at (or under) the BDP.
-      if (dwelled && inflight <= std::max(bdp_requests(),
-                                          config_.min_inflight)) {
+      if (dwelled && inflight <= std::max(bdp_requests(), inflight_floor_)) {
         enter(State::kSteady, now);
         last_probe_ = now;
       }
@@ -115,7 +116,7 @@ void PacingController::recompute_targets() {
       batch_target_ = clamp_batch(
           std::max(static_cast<double>(batch_target_) * config_.startup_gain,
                    static_cast<double>(batch_target_ + 1)));
-      cwnd_ = std::max({config_.min_inflight,
+      cwnd_ = std::max({inflight_floor_,
                         config_.startup_gain * static_cast<double>(batch_target_),
                         config_.cwnd_gain * bdp_r});
       break;
@@ -123,16 +124,16 @@ void PacingController::recompute_targets() {
       batch_target_ = clamp_batch(bdp_r);
       // Admission capped at drain_gain * the steady window (= 1 BDP with the
       // defaults): arrivals beyond it shed while the backlog empties.
-      cwnd_ = std::max(config_.min_inflight,
+      cwnd_ = std::max(inflight_floor_,
                        config_.drain_gain * config_.cwnd_gain * bdp_r);
       break;
     case State::kSteady:
       batch_target_ = clamp_batch(bdp_r);
-      cwnd_ = std::max(config_.min_inflight, config_.cwnd_gain * bdp_r);
+      cwnd_ = std::max(inflight_floor_, config_.cwnd_gain * bdp_r);
       break;
     case State::kProbe:
       batch_target_ = clamp_batch(config_.probe_gain * bdp_r);
-      cwnd_ = std::max(config_.min_inflight,
+      cwnd_ = std::max(inflight_floor_,
                        config_.probe_gain * config_.cwnd_gain * bdp_r);
       break;
   }

@@ -21,6 +21,9 @@
 //   PROBE    every `probe_interval_ticks`, run one round-trip with gain
 //            `probe_gain` so a capacity increase can raise the max filter.
 //
+// In every state the admission window holds at least two batch quanta
+// (inflight_floor()).
+//
 // Load beyond the admission window is SHED, never dropped: a shed request is
 // served by the native optimizer's default plan (the paper's always-available
 // fallback), so overload degrades the served-by-model fraction, not
@@ -133,7 +136,10 @@ struct PacingConfig {
 
   int min_batch = 1;
   int max_batch = 64;              // ceiling for the adaptive batch target
-  double min_inflight = 4.0;       // admission-window floor (requests)
+  // Admission-window floor (requests). The controller never goes below
+  // two batch quanta either (see inflight_floor()), so this only binds when
+  // it exceeds twice the initial batch.
+  double min_inflight = 4.0;
 
   // Oscillation floor: no state transition faster than one RTT-equivalent,
   // round_ticks() = max(min_round_ticks, windowed min delay).
@@ -146,7 +152,8 @@ class PacingController {
  public:
   enum class State : int { kStartup = 0, kDrain = 1, kSteady = 2, kProbe = 3 };
 
-  // `initial_batch` seeds the batch target (typically ServeConfig::max_batch).
+  // `initial_batch` seeds the batch target (typically ServeConfig::max_batch)
+  // and sets the batch quantum of the admission floor.
   PacingController(const PacingConfig& config, int initial_batch);
 
   // One round = one completed inference batch. `requests`/`plans` are the
@@ -186,6 +193,14 @@ class PacingController {
   }
   double plans_per_request() const { return ppr_; }
 
+  // Lowest admission window in any state: max(min_inflight, 2 x the
+  // initial batch), one batch in service plus one forming. This is BBR's
+  // quantization budget (Linux adds send quanta to cwnd so end hosts stay
+  // busy): when the base delay is far below one batch's service time the
+  // BDP falls under one request, and a window at the BDP would starve the
+  // batcher while shedding everything else.
+  double inflight_floor() const { return inflight_floor_; }
+
   // One RTT-equivalent: the transition dwell floor.
   std::int64_t round_ticks() const {
     return std::max(config_.min_round_ticks, est_min_delay_ticks());
@@ -216,6 +231,7 @@ class PacingController {
 
   int batch_target_ = 1;
   double cwnd_ = 0.0;
+  double inflight_floor_ = 0.0;
 };
 
 }  // namespace loam::serve

@@ -46,7 +46,7 @@ ServeShard::ServeShard(Env env)
       explore_memo_("loam.cache." + cache_scope(env_.index, env_.num_shards) +
                         ".explore",
                     kExploreMemoCapacity, env_.config->cache),
-      seen_once_(kDoorkeeperCapacity, 1),
+      seen_once_(env_.config->cache.enabled ? kDoorkeeperCapacity : 0, 1),
       env_fp_(env_fingerprint(env_.serving_env)),
       pacing_(env_.config->pacing, env_.config->max_batch),
       c_admitted_(obs::Registry::instance().counter(
@@ -202,25 +202,11 @@ void ServeShard::batcher_loop() {
           1, config.pacing.enabled
                  ? batch_target_cached_.load(std::memory_order_relaxed)
                  : config.max_batch);
-      // Linger briefly so closely spaced requests coalesce into one
-      // predict_batch call instead of each paying a forward pass. The
-      // deadline is computed ONCE from the linger start: the predicate form
-      // of wait_until re-waits only the remaining time after a spurious or
-      // not-yet-full wakeup, so a trickle of sub-batch arrivals can neither
-      // cut the linger short (early batch) nor extend it past one linger
-      // period (the pre-deadline wakeup bug this replaced wait_for guards
-      // against).
-      if (static_cast<int>(queue_.size()) < limit && !stop_ &&
-          config.batch_linger_us > 0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(config.batch_linger_us);
-        queue_cv_.wait_until(lock, deadline, [this, limit] {
-          return stop_ || static_cast<int>(queue_.size()) >= limit;
-        });
-      }
-      // FIFO drain: up to `limit` requests per inference batch. (Shed
-      // requests never reach this queue — they are served at admission.)
+      // Work-conserving FIFO drain: up to `limit` of whatever has queued,
+      // never waiting for company. Requests that arrive while this batch is
+      // in service form the next one, so batch size follows the backlog and
+      // an unloaded shard builds no standing queue. (Shed requests never
+      // reach this queue — they are served at admission.)
       while (!queue_.empty() && static_cast<int>(batch.size()) < limit) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
@@ -311,11 +297,12 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
   const std::shared_ptr<const ModelSnapshot> snapshot = snapshot_for_batch();
 
   // Explore per request, then score the union of every request's candidates
-  // with a single predict_batch call. With the cache on, a query the shard
-  // has memoized skips exploration (explore memo), a candidate whose
-  // (signature, env, registry-version) score is memoized skips encoding and
-  // inference entirely, and a candidate with a memoized encoding skips
-  // featurization; only true misses enter the forward pass.
+  // with a single predict_batch call. A query the shard has memoized skips
+  // exploration (explore memo), a candidate whose (signature, env,
+  // registry-version) score is memoized skips encoding and inference
+  // entirely, and a candidate with a memoized encoding skips featurization;
+  // only true misses enter the forward pass. With the cache disabled every
+  // lookup misses and every put is dropped, so each candidate is a miss.
   // Scores are keyed by snapshot->version, so entries written under an older
   // model CANNOT hit after a hot-swap — and entries for a version stay valid
   // if a rollback reinstates it (same checkpoint, same scores).
@@ -329,8 +316,6 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
     std::shared_ptr<const nn::Tree> tree;  // keeps the cached encoding alive
   };
   std::vector<MissRef> misses;
-  std::vector<nn::Tree> flat;  // cache-disabled path only
-  std::vector<std::size_t> offsets(batch.size() + 1, 0);
   std::int64_t min_queue_ticks = -1;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ServeDecision& d = decisions[i];
@@ -345,52 +330,36 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
       min_queue_ticks = queue_ticks;
     }
     try {
-      std::vector<std::uint64_t> plan_sigs;
-      if (!infer_cache_.enabled()) {
-        d.generation = explorer_.explore(batch[i].query);
-      } else {
-        plan_sigs = explore_memoized(batch[i].query, &d.generation);
-      }
-      if (snapshot->model == nullptr) {
-        // fall through to the fallback branch below
-      } else if (!infer_cache_.enabled()) {
-        std::vector<nn::Tree> trees = core::encode_candidates(
-            *env_.encoder, d.generation.plans, env_.serving_env);
-        for (nn::Tree& t : trees) flat.push_back(std::move(t));
-      } else {
-        d.predicted.assign(d.generation.plans.size(), 0.0);
-        for (std::size_t c = 0; c < d.generation.plans.size(); ++c) {
-          const std::uint64_t psig = plan_sigs[c];
-          const std::uint64_t skey = cache::InferenceCache::score_key(
-              psig, env_fp_, snapshot->version);
-          if (std::optional<double> hit = infer_cache_.get_score(skey);
-              hit.has_value()) {
-            d.predicted[c] = *hit;
-            continue;
-          }
-          const std::uint64_t ekey =
-              cache::InferenceCache::encoding_key(psig, env_fp_);
-          std::shared_ptr<const nn::Tree> tree = infer_cache_.get_encoding(ekey);
-          if (tree == nullptr) {
-            tree = std::make_shared<const nn::Tree>(env_.encoder->encode(
-                d.generation.plans[c], nullptr, env_.serving_env));
-            infer_cache_.put_encoding(ekey, tree);
-          }
-          misses.push_back(MissRef{i, c, skey, std::move(tree)});
+      const std::vector<std::uint64_t> plan_sigs =
+          explore_memoized(batch[i].query, &d.generation);
+      if (snapshot->model == nullptr) continue;  // fallback branch below
+      d.predicted.assign(d.generation.plans.size(), 0.0);
+      for (std::size_t c = 0; c < d.generation.plans.size(); ++c) {
+        const std::uint64_t psig = plan_sigs[c];
+        const std::uint64_t skey = cache::InferenceCache::score_key(
+            psig, env_fp_, snapshot->version);
+        if (std::optional<double> hit = infer_cache_.get_score(skey);
+            hit.has_value()) {
+          d.predicted[c] = *hit;
+          continue;
         }
+        const std::uint64_t ekey =
+            cache::InferenceCache::encoding_key(psig, env_fp_);
+        std::shared_ptr<const nn::Tree> tree = infer_cache_.get_encoding(ekey);
+        if (tree == nullptr) {
+          tree = std::make_shared<const nn::Tree>(env_.encoder->encode(
+              d.generation.plans[c], nullptr, env_.serving_env));
+          infer_cache_.put_encoding(ekey, tree);
+        }
+        misses.push_back(MissRef{i, c, skey, std::move(tree)});
       }
     } catch (...) {
       failed[i] = true;
       failed_any = true;
       batch[i].promise.set_exception(std::current_exception());
     }
-    offsets[i + 1] = flat.size();
   }
 
-  std::vector<double> all_preds;
-  if (snapshot->model != nullptr && !flat.empty()) {
-    all_preds = snapshot->model->predict_batch(flat);
-  }
   if (snapshot->model != nullptr && !misses.empty()) {
     std::vector<const nn::Tree*> ptrs;
     ptrs.reserve(misses.size());
@@ -409,11 +378,6 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
     if (snapshot->model != nullptr) {
       d.model_version = snapshot->version;
       if (snapshot->quantized) c_quant_decisions->add();
-      if (!infer_cache_.enabled()) {
-        d.predicted.assign(
-            all_preds.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-            all_preds.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
-      }
       d.chosen = core::argmin(d.predicted);
       d.predicted_cost =
           d.predicted.empty() ? 0.0

@@ -97,8 +97,12 @@ struct ServeConfig {
 
   // Admission / batching (per shard).
   std::size_t queue_capacity = 256;
-  int max_batch = 8;         // requests coalesced into one inference batch
-  int batch_linger_us = 200; // how long a non-full batch waits for company
+  // Most requests coalesced into one inference batch. The batcher is
+  // work-conserving: it never waits for company, it takes up to this many
+  // of whatever has queued, so batch size follows the backlog. With pacing
+  // on, this seeds the adaptive batch target and sets the two-batch
+  // admission floor (PacingController::inflight_floor()).
+  int max_batch = 8;
 
   // Feedback / retraining.
   bool bootstrap_from_history = true;  // seed the journal from the repository
@@ -341,7 +345,8 @@ class ServeShard {
   // Explore-memo doorkeeper: signatures of queries that missed once. A
   // query enters the memo on its second miss, so never-repeated traffic
   // pays no entry copy and keeps no entry resident: on the adhoc perfbench
-  // workload, memoizing every miss raised decide p50 by 25%.
+  // workload, memoizing every miss raised decide p50 by 25%. Capacity 0 (it
+  // remembers nothing) when the cache is disabled.
   cache::ShardedLru<bool> seen_once_;
   // Fingerprint of env_.serving_env in the score/encoding keys.
   const std::uint64_t env_fp_;

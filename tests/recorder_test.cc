@@ -485,7 +485,6 @@ struct ServeFixture {
     cfg.gate.replay_runs = 2;
     cfg.min_train_examples = 20;
     cfg.bootstrap_candidate_queries = 10;
-    cfg.batch_linger_us = 100;
     cfg.bootstrap_from_history = false;
     cfg.bootstrap_train = false;
     cfg.auto_retrain = false;

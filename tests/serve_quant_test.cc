@@ -58,7 +58,6 @@ struct QuantFixture {
     cfg.gate.replay_runs = 2;
     cfg.min_train_examples = 20;
     cfg.bootstrap_candidate_queries = 10;
-    cfg.batch_linger_us = 100;
     cfg.registry_root = root + "/registry";
     cfg.journal_path = root + "/feedback.jnl";
     return cfg;

@@ -226,7 +226,7 @@ struct RecordOptions {
   int interval_ms = 50;
   bool dump_on_alert = false;
   std::string dump_out;  // empty = the serve state dir
-  int burst = 0;         // extra burst submissions of the whole pool
+  int burst = 0;         // burst size, in multiples of the request pool
 };
 
 int cmd_serve(int index, int n_requests, const char* state_dir, bool paced,
@@ -267,9 +267,15 @@ int cmd_serve(int index, int n_requests, const char* state_dir, bool paced,
     flight->start();
   }
 
-  // The request stream is pre-generated: make_queries consumes the runtime's
-  // RNG, which the service's retrain gate also draws from.
+  // The request stream and the burst are pre-generated: make_queries
+  // consumes the runtime's RNG, which the service's retrain gate also draws
+  // from. Burst queries are fresh instances from later days, so none of them
+  // is in any shard's explore memo.
   std::vector<warehouse::Query> requests = runtime.make_queries(5, 8, n_requests);
+  std::vector<warehouse::Query> burst_queries;
+  if (rec.burst > 0) {
+    burst_queries = runtime.make_queries(9, 9 + 365, rec.burst * n_requests);
+  }
 
   serve::OptimizerService service(&runtime, cfg);
   service.start();
@@ -295,28 +301,50 @@ int cmd_serve(int index, int n_requests, const char* state_dir, bool paced,
     service.record_feedback(d, exec);
   }
 
-  // Optional overload burst: submit the whole pool --burst more times all at
-  // once. With pacing on, everything past each shard's admission window is
-  // shed to the native fallback — which is exactly what drives the
-  // serve.shed_ratio SLO rule over its threshold. The explicit tick()
-  // afterwards guarantees the rules see the burst interval even when the
-  // background cadence would have sampled later.
+  // Optional overload burst: --burst times the pool size in fresh queries,
+  // submitted all at once by one thread per shard, each spraying its own
+  // shard. The burst overloads every shard by construction: a model-path
+  // request costs a whole exploration (one native optimize per flag trial,
+  // ~11) on the shard's batcher, while a shed request costs one native
+  // optimize on its submitter, so each submitter outruns its batcher several
+  // times over and, past the admission window, most of the burst is shed to
+  // the native fallback — which is exactly what drives the serve.shed_ratio
+  // SLO rule over its threshold. The explicit tick() afterwards guarantees
+  // the rules see the burst interval even when the background cadence would
+  // have sampled later.
   std::uint64_t burst_shed = 0;
-  if (rec.burst > 0) {
+  if (!burst_queries.empty()) {
     const std::uint64_t shed_before = service.stats().shed;
-    std::vector<std::future<serve::ServeDecision>> futures;
-    futures.reserve(static_cast<std::size_t>(rec.burst) * requests.size());
-    for (int b = 0; b < rec.burst; ++b) {
-      for (const warehouse::Query& q : requests) {
-        std::future<serve::ServeDecision> fut;
-        if (service.try_submit(q, &fut)) futures.push_back(std::move(fut));
-      }
+    const int n_shards = service.num_shards();
+    std::vector<std::vector<const warehouse::Query*>> by_shard(
+        static_cast<std::size_t>(n_shards));
+    for (const warehouse::Query& q : burst_queries) {
+      by_shard[service.shard_of(q)].push_back(&q);
     }
-    for (std::future<serve::ServeDecision>& fut : futures) fut.get();
+    std::vector<std::vector<std::future<serve::ServeDecision>>> futures(
+        by_shard.size());
+    std::vector<std::thread> submitters;
+    for (std::size_t k = 0; k < by_shard.size(); ++k) {
+      submitters.emplace_back([&, k] {
+        for (const warehouse::Query* q : by_shard[k]) {
+          std::future<serve::ServeDecision> fut;
+          if (service.try_submit(*q, &fut)) {
+            futures[k].push_back(std::move(fut));
+          }
+        }
+      });
+    }
+    for (std::thread& th : submitters) th.join();
+    std::size_t submitted = 0;
+    for (auto& shard_futures : futures) {
+      for (std::future<serve::ServeDecision>& fut : shard_futures) fut.get();
+      submitted += shard_futures.size();
+    }
     burst_shed = service.stats().shed - shed_before;
     if (flight) flight->tick();
-    std::printf("burst: %dx pool (%zu requests), shed %llu to fallback\n",
-                rec.burst, futures.size(),
+    std::printf("burst: %dx pool (%zu fresh requests from %d threads), shed "
+                "%llu to fallback\n",
+                rec.burst, submitted, n_shards,
                 static_cast<unsigned long long>(burst_shed));
   }
   service.stop();
@@ -553,8 +581,9 @@ void usage() {
                "               [--dump-out=<dir>] [--burst=N]\n"
                "               (--record samples metric history + SLO rules;\n"
                "                dumps land in --dump-out, default state-dir;\n"
-               "                --burst=N resubmits the pool N times at once\n"
-               "                to exercise shedding under the recorder)\n"
+               "                --burst=N submits N x n-requests fresh\n"
+               "                queries at once, one thread per shard, to\n"
+               "                exercise shedding under the recorder)\n"
                "       loam_sim_cli drift   <archetype> <days> [state-dir]"
                " --drift-script=<file>\n"
                "               [--monolithic] [--record] [--dump-on-alert]"
