@@ -25,10 +25,7 @@
 // `--serve` runs the online-serving section: a live OptimizerService fed a
 // sequential request stream while model versions hot-swap underneath it,
 // emitting BENCH_serve.json (path override: --serve-json=PATH) with p50/p99
-// request latency and the swap pause observed by the swapping thread. A
-// second leg replays the same stream against the fp32 model and then against
-// its promoted int8 quantized twin (no concurrent swapping), recording both
-// p50s and the quantized speedup.
+// request latency and the swap pause observed by the swapping thread.
 //
 // `--cache` runs the memoized-inference section (loam::cache): a paired
 // uncached-vs-cached selection sweep over one candidate corpus (asserting
@@ -87,7 +84,6 @@
 #include "core/encoding.h"
 #include "core/explorer.h"
 #include "core/predictor.h"
-#include "core/quant_model.h"
 #include "drift/scenario.h"
 #include "nn/layers.h"
 #include "nn/mat.h"
@@ -842,57 +838,6 @@ int run_serve(const std::string& json_path) {
   submitter.join();
   service.stop();
 
-  // Quantized-vs-fp32 serving leg: a second service on the same registry,
-  // inference cache OFF so both legs pay the full predict path (the score
-  // memo is version-keyed, but encodings would warm asymmetrically). The
-  // int8 twin of the serving model is published as its own approved version
-  // and each leg replays the same stream with no concurrent swapping.
-  serve::ServeConfig qcfg = cfg;
-  qcfg.cache.enabled = false;
-  serve::OptimizerService qservice(&runtime, qcfg);
-  qservice.start();
-  core::AdaptiveCostPredictor fp32_master(qservice.encoder().feature_dim(),
-                                          qcfg.predictor);
-  std::vector<nn::Tree> calib_trees;
-  for (const warehouse::QueryRecord& r : runtime.repository().records()) {
-    calib_trees.push_back(
-        qservice.encoder().encode(r.plan, nullptr, std::nullopt));
-    if (calib_trees.size() >= 64) break;
-  }
-  std::vector<const nn::Tree*> calib;
-  calib.reserve(calib_trees.size());
-  for (const nn::Tree& t : calib_trees) calib.push_back(&t);
-  core::QuantizedCostModel twin(fp32_master, qservice.encoder().feature_dim(),
-                                qcfg.predictor, calib);
-  serve::ModelVersionMeta qmeta;
-  qmeta.approved = true;
-  qmeta.quantized = true;
-  const int quant_version =
-      qservice.registry()
-          .publish([&twin](const std::string& p) { twin.save(p); }, qmeta)
-          .version;
-
-  std::vector<warehouse::Query> paired = runtime.make_queries(4, 7, 120);
-  auto leg_quantile = [&](int version) {
-    qservice.swap_to_version(version);
-    obs::FixedBucketQuantile q = latency_quantile_ms();
-    for (const warehouse::Query& query : paired) {
-      q.observe(1e3 * qservice.optimize(query).total_seconds);
-    }
-    return q;
-  };
-  // One unmeasured pass walks the batcher/allocator into steady state.
-  leg_quantile(1);
-  obs::FixedBucketQuantile fp32_q = leg_quantile(1);
-  obs::FixedBucketQuantile quant_q = leg_quantile(quant_version);
-  qservice.stop();
-  const double fp32_p50_ms = fp32_q.quantile(0.50);
-  const double fp32_p99_ms = fp32_q.quantile(0.99);
-  const double quant_p50_ms = quant_q.quantile(0.50);
-  const double quant_p99_ms = quant_q.quantile(0.99);
-  const double quant_p50_speedup =
-      quant_p50_ms > 0.0 ? fp32_p50_ms / quant_p50_ms : 0.0;
-
   obs::FixedBucketQuantile lat_q = latency_quantile_ms();
   for (const double s : latencies) lat_q.observe(1e3 * s);
   const double p50_ms = lat_q.quantile(0.50);
@@ -923,12 +868,6 @@ int run_serve(const std::string& json_path) {
               queue_p99_ms);
   std::printf("swaps %zu | pause mean %.2f us p99 %.2f us max %.2f us\n",
               swap_us.size(), swap_mean_us, swap_p99_us, swap_max_us);
-  std::printf(
-      "== fp32 vs promoted int8 twin (%s kernels, cache off) ==\n"
-      "fp32 p50 %.3f ms p99 %.3f ms | int8 p50 %.3f ms p99 %.3f ms | p50 "
-      "speedup %.2fx\n",
-      nn::simd::active_name(), fp32_p50_ms, fp32_p99_ms, quant_p50_ms,
-      quant_p99_ms, quant_p50_speedup);
 
   std::ofstream json(json_path);
   if (!json) {
@@ -947,13 +886,7 @@ int run_serve(const std::string& json_path) {
        << "  \"swaps\": " << swap_us.size() << ",\n"
        << "  \"swap_pause_us\": {\"mean\": " << swap_mean_us
        << ", \"p99\": " << swap_p99_us << ", \"max\": " << swap_max_us
-       << "},\n"
-       << "  \"quantized\": {\"requests_per_leg\": " << paired.size()
-       << ", \"fp32_ms\": {\"p50\": " << fp32_p50_ms
-       << ", \"p99\": " << fp32_p99_ms
-       << "}, \"int8_ms\": {\"p50\": " << quant_p50_ms
-       << ", \"p99\": " << quant_p99_ms
-       << "}, \"p50_speedup\": " << quant_p50_speedup << "}\n}\n";
+       << "}\n}\n";
   std::printf("\nwrote %s\n", json_path.c_str());
   fs::remove_all(dir);
 

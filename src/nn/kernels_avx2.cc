@@ -1,6 +1,6 @@
 // AVX2/FMA arm: 8-wide fp32 lanes, register-blocked 4x2-vector accumulator
-// tiles, VPMADDWD int8 pairs. Masked loads/stores cover remainder columns so
-// odd shapes never touch memory past the row.
+// tiles. Masked loads/stores cover remainder columns so odd shapes never
+// touch memory past the row.
 #include "nn/simd.h"
 
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX2__) && \
@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <vector>
 
 namespace loam::nn::simd {
 namespace kern_avx2 {
@@ -39,31 +38,6 @@ struct V {
   }
   static void maskstore(float* p, int rem, F v) {
     _mm256_maskstore_ps(p, mask(rem), v);
-  }
-
-  using I = __m256i;
-  static constexpr int kWI = 8;
-  static I izero() { return _mm256_setzero_si256(); }
-  static I iload(const std::int32_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void istore(std::int32_t* p, I v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  static I imaskload(const std::int32_t* p, int rem) {
-    return _mm256_maskload_epi32(p, mask(rem));
-  }
-  static void imaskstore(std::int32_t* p, int rem, I v) {
-    _mm256_maskstore_epi32(p, mask(rem), v);
-  }
-  static I ipair_bcast(std::int32_t pair) { return _mm256_set1_epi32(pair); }
-  // 16 panel bytes -> 8 sign-extended (b0,b1) s16 pairs, lane l = column l.
-  static I iload_pairs(const std::int8_t* p) {
-    return _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-  }
-  static I imadd_acc(I pairs, I a, I acc) {
-    return _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, a));
   }
 };
 

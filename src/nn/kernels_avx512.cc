@@ -1,5 +1,5 @@
 // AVX-512 arm: the same kernel shapes at 16 fp32 lanes, with hardware mask
-// registers for remainders and 32-wide VPMADDWD int8 pairs (AVX512BW).
+// registers for remainders.
 #include "nn/simd.h"
 
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX512F__) && \
@@ -9,9 +9,7 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <new>
-#include <vector>
 
 namespace loam::nn::simd {
 namespace kern_avx512 {
@@ -34,27 +32,6 @@ struct V {
   }
   static void maskstore(float* p, int rem, F v) {
     _mm512_mask_storeu_ps(p, mask(rem), v);
-  }
-
-  using I = __m512i;
-  static constexpr int kWI = 16;
-  static I izero() { return _mm512_setzero_si512(); }
-  static I iload(const std::int32_t* p) { return _mm512_loadu_si512(p); }
-  static void istore(std::int32_t* p, I v) { _mm512_storeu_si512(p, v); }
-  static I imaskload(const std::int32_t* p, int rem) {
-    return _mm512_maskz_loadu_epi32(mask(rem), p);
-  }
-  static void imaskstore(std::int32_t* p, int rem, I v) {
-    _mm512_mask_storeu_epi32(p, mask(rem), v);
-  }
-  static I ipair_bcast(std::int32_t pair) { return _mm512_set1_epi32(pair); }
-  // 32 panel bytes -> 16 sign-extended (b0,b1) s16 pairs, lane l = column l.
-  static I iload_pairs(const std::int8_t* p) {
-    return _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  }
-  static I imadd_acc(I pairs, I a, I acc) {
-    return _mm512_add_epi32(acc, _mm512_madd_epi16(pairs, a));
   }
 };
 

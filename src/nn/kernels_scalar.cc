@@ -5,9 +5,7 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <new>
-#include <vector>
 
 namespace loam::nn::simd {
 namespace kern_scalar {

@@ -22,21 +22,14 @@
 // rounding per chain step, identical on every arm, so scalar, AVX2 and
 // AVX-512 agree to the bit (asserted by tests/simd_kernel_test.cc and
 // tests/mat_kernel_test.cc).
-//
-// The int8 kernels accumulate in exact int32 arithmetic, so cross-arm
-// bit-identity is trivial there; weights are pre-packed into K2-interleaved
-// panels (see pack_s8_panel in nn/quant.h) so AVX2/AVX-512 can ride the
-// 16-bit multiply-add units.
 #ifndef LOAM_NN_SIMD_H_
 #define LOAM_NN_SIMD_H_
-
-#include <cstdint>
 
 namespace loam::nn::simd {
 
 enum class Arch { kScalar = 0, kScalarFma = 1, kAvx2 = 2, kAvx512 = 3 };
 
-// One arm's kernel table. All fp32 kernels ACCUMULATE into C (callers zero C
+// One arm's kernel table. All kernels ACCUMULATE into C (callers zero C
 // first for the overwrite case); matrices are dense row-major.
 struct KernelOps {
   Arch arch = Arch::kScalar;
@@ -53,22 +46,6 @@ struct KernelOps {
   void (*gemm_tn)(const float* a, const float* b, float* c, int m, int k, int n);
   // C[m,n] += A B^T, B is [n,k].
   void (*gemm_nt)(const float* a, const float* b, float* c, int m, int k, int n);
-  // C[m,n] (int32) += A[m,k] (int8) * B (int8, K2-interleaved panel of
-  // leading dimension n_pad — see pack_s8_panel). Exact integer arithmetic.
-  void (*gemm_s8)(const std::int8_t* a, const std::int8_t* b_panel,
-                  std::int32_t* c, int m, int k, int n, int n_pad);
-  // CSR variant over pre-compacted activation rows (quantize_compact in
-  // nn/quant.h): row i of C accumulates the pairs of source row
-  // row_map[i] (identity when row_map is null; a negative entry contributes
-  // nothing — the gathered child of a leaf is the zero row). pairs[z] packs
-  // (a1 << 16) | (a0 & 0xffff); pos[z] is the K2 pair index into the panel.
-  // Skipping zero pairs only drops exact-zero terms from an int32 sum, so
-  // the result equals gemm_s8 over the dense rows, bit for bit, on every
-  // arm.
-  void (*gemm_s8_rows)(const std::int32_t* pairs, const std::int32_t* pos,
-                       const std::int32_t* row_ptr, const int* row_map,
-                       const std::int8_t* b_panel, std::int32_t* c, int m,
-                       int n, int n_pad);
 };
 
 // The dispatched arm: LOAM_SIMD override if set, else the best arm the CPU

@@ -1,6 +1,7 @@
 #include "serve/registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +29,24 @@ void put_line(std::ostream& out, const char* key, const std::string& value) {
   out << key << '\t' << value << '\n';
 }
 
+[[noreturn]] void meta_error(const fs::path& file, const std::string& what) {
+  throw std::runtime_error("registry meta " + file.string() + ": " + what);
+}
+
+// Parses a numeric field that must consume its whole value ("12abc" and ""
+// are errors, not 12 and 0).
+template <typename T>
+T parse_number(const fs::path& file, const std::string& key,
+               const std::string& value) {
+  T out{};
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end) {
+    meta_error(file, "bad " + key + " '" + value + "'");
+  }
+  return out;
+}
+
 }  // namespace
 
 ModelRegistry::ModelRegistry(std::string root) : root_(std::move(root)) {
@@ -51,20 +70,26 @@ void ModelRegistry::scan() {
       const std::string key = line.substr(0, tab);
       const std::string value = line.substr(tab + 1);
       if (key == "version") {
-        meta.version = std::stoi(value);
+        meta.version = parse_number<int>(entry.path(), key, value);
         have_version = true;
       } else if (key == "watermark_day") {
-        meta.watermark_day = std::stoi(value);
+        meta.watermark_day = parse_number<int>(entry.path(), key, value);
       } else if (key == "journal_records") {
-        meta.journal_records = std::stoull(value);
+        meta.journal_records =
+            parse_number<std::uint64_t>(entry.path(), key, value);
       } else if (key == "approved") {
         meta.approved = value == "1";
       } else if (key == "rolled_back") {
         meta.rolled_back = value == "1";
       } else if (key == "quantized") {
-        meta.quantized = value == "1";
+        // Written by builds that published int8 checkpoints; this build
+        // cannot load one. An explicit fp32 marker still scans.
+        if (value != "0") {
+          meta_error(entry.path(), "quantized '" + value +
+                                       "': int8 checkpoints cannot be loaded");
+        }
       } else if (key == "gate_gain") {
-        meta.gate_gain = std::stod(value);
+        meta.gate_gain = parse_number<double>(entry.path(), key, value);
       } else if (key == "gate_json") {
         meta.gate_json = value;
       } else if (key == "checkpoint") {
@@ -93,7 +118,6 @@ void ModelRegistry::write_meta(const ModelVersionMeta& meta) const {
     put_line(out, "journal_records", std::to_string(meta.journal_records));
     put_line(out, "approved", meta.approved ? "1" : "0");
     put_line(out, "rolled_back", meta.rolled_back ? "1" : "0");
-    put_line(out, "quantized", meta.quantized ? "1" : "0");
     put_line(out, "gate_gain", std::to_string(meta.gate_gain));
     put_line(out, "gate_json", meta.gate_json);
     put_line(out, "checkpoint", meta.checkpoint_path);
@@ -105,13 +129,6 @@ void ModelRegistry::write_meta(const ModelVersionMeta& meta) const {
 
 ModelVersionMeta ModelRegistry::publish(const core::AdaptiveCostPredictor& model,
                                         ModelVersionMeta meta) {
-  return publish([&model](const std::string& path) { model.save(path); },
-                 std::move(meta));
-}
-
-ModelVersionMeta ModelRegistry::publish(
-    const std::function<void(const std::string&)>& save_ckpt,
-    ModelVersionMeta meta) {
   static obs::Counter* const c_published =
       obs::Registry::instance().counter("loam.serve.versions_published");
   obs::Span span(obs::Cat::kServe, "registry_publish");
@@ -124,7 +141,7 @@ ModelVersionMeta ModelRegistry::publish(
   // a complete file), meta second: a crash between the two leaves an orphan
   // checkpoint, which scan() ignores.
   const std::string tmp_ckpt = meta.checkpoint_path + ".tmp";
-  save_ckpt(tmp_ckpt);
+  model.save(tmp_ckpt);
   fs::rename(tmp_ckpt, meta.checkpoint_path);
   write_meta(meta);
   versions_.push_back(meta);

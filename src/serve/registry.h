@@ -13,11 +13,14 @@
 // version list from the meta files, latest_approved() identifies the model a
 // restarted service should serve (approved, not rolled back), and
 // mark_rolled_back() makes a deviance-triggered demotion durable so the bad
-// version is never re-promoted.
+// version is never re-promoted. scan() is strict: a numeric field that is not
+// wholly a number, or a `quantized<TAB>1` line (an int8 checkpoint published
+// by an older build, which this one cannot load), throws an error naming the
+// meta file — a registry this build cannot load must not quietly serve an
+// older model.
 #ifndef LOAM_SERVE_REGISTRY_H_
 #define LOAM_SERVE_REGISTRY_H_
 
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -36,11 +39,6 @@ struct ModelVersionMeta {
   std::uint64_t journal_records = 0;  // executed records trained on
   bool approved = false;
   bool rolled_back = false;
-  // True when the checkpoint is an int8 QuantizedCostModel rather than a
-  // fp32 AdaptiveCostPredictor (older meta files lack the key and scan as
-  // fp32). The loader branches on this; promotion/rollback machinery treats
-  // both identically.
-  bool quantized = false;
   double gate_gain = 0.0;
   std::string gate_json;        // full DeploymentGateReport::to_json()
   std::string checkpoint_path;  // absolute or root-relative .ckpt path
@@ -48,7 +46,8 @@ struct ModelVersionMeta {
 
 class ModelRegistry {
  public:
-  // Creates `root` if needed and scans any existing versions.
+  // Creates `root` if needed and scans any existing versions; throws
+  // std::runtime_error naming the meta file when one cannot be parsed.
   explicit ModelRegistry(std::string root);
 
   // Persists checkpoint + metadata under the next version id (meta.version
@@ -57,13 +56,6 @@ class ModelRegistry {
   // mid-publish can never leave a meta file pointing at a torn checkpoint.
   ModelVersionMeta publish(const core::AdaptiveCostPredictor& model,
                            ModelVersionMeta meta);
-
-  // Generalized publish for model kinds the registry does not know about
-  // (e.g. quantized twins): `save_ckpt` must write a complete checkpoint to
-  // the path it is given. Same temp-file + rename crash discipline.
-  ModelVersionMeta publish(
-      const std::function<void(const std::string&)>& save_ckpt,
-      ModelVersionMeta meta);
 
   // Durably flags a version so latest_approved() skips it from now on.
   void mark_rolled_back(int version);

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/quant_model.h"
 #include "obs/obs.h"
 #include "util/hash.h"
 
@@ -368,21 +367,9 @@ bool OptimizerService::retrain_sync() {
   meta.gate_gain = report.gain;
   meta.gate_json = report.to_json();
   if (report.approved) {
-    // Keep the fp32 master reachable for the quantized sibling below:
-    // publish_and_swap consumes the unique_ptr, but the snapshot it installs
-    // retains shared ownership.
-    const AdaptiveCostPredictor* fp32 = model.get();
     publish_and_swap(std::move(model), meta);
     n_retrain_approved_.fetch_add(1, std::memory_order_relaxed);
     c_approved->add();
-    if (config_.quant.enabled) {
-      try {
-        try_publish_quantized(*fp32, data, first_day, meta);
-      } catch (...) {
-        // The fp32 promotion above already succeeded; a failed quantized
-        // twin must never undo it. The next retrain tries again.
-      }
-    }
     return true;
   }
   // Rejected candidates are still published (approved = false) so the
@@ -393,83 +380,6 @@ bool OptimizerService::retrain_sync() {
   if (config_.flight_recorder != nullptr) {
     config_.flight_recorder->trigger_dump("gate_rejection");
   }
-  return false;
-}
-
-bool OptimizerService::try_publish_quantized(
-    const AdaptiveCostPredictor& fp32, const core::TrainingData& data,
-    int first_day, const ModelVersionMeta& fp32_meta) {
-  static obs::Counter* const c_published =
-      obs::Registry::instance().counter("loam.serve.quant.published");
-  static obs::Counter* const c_approved =
-      obs::Registry::instance().counter("loam.serve.quant.approved");
-  static obs::Counter* const c_rejected =
-      obs::Registry::instance().counter("loam.serve.quant.rejected");
-  obs::Span span(obs::Cat::kServe, "quant_publish");
-
-  // Calibration set: the executed journal-replay plans the fp32 model just
-  // trained on — the distribution the twin will serve — capped so the fp32
-  // calibration forward stays a bounded fraction of the retrain.
-  const std::size_t cap = static_cast<std::size_t>(
-      std::max(1, config_.quant.calibration_examples));
-  std::vector<const nn::Tree*> calibration;
-  calibration.reserve(std::min(cap, data.default_plans.size()));
-  for (const core::TrainingExample& ex : data.default_plans) {
-    calibration.push_back(&ex.tree);
-    if (calibration.size() >= cap) break;
-  }
-  if (calibration.empty()) return false;
-
-  const int next_version = registry_.next_version();
-  auto qmodel = std::make_unique<core::QuantizedCostModel>(
-      fp32, encoder_.feature_dim(), config_.predictor, calibration);
-
-  // The twin faces its own flighting gate on the same post-watermark window
-  // as its fp32 master, under its own version's seed: quantized-vs-fp32 is a
-  // deployment verdict, not an assumption about int8 accuracy.
-  core::DeploymentGateConfig gc = config_.gate;
-  gc.seed = config_.gate.seed + static_cast<std::uint64_t>(next_version);
-  const core::QuantizedCostModel* raw = qmodel.get();
-  core::DeploymentGateReport report;
-  {
-    std::lock_guard<std::mutex> lock(runtime_mu_);
-    report = core::evaluate_selection(
-        *runtime_,
-        [this, raw](const CandidateGeneration& gen) {
-          return select_with(*raw, gen);
-        },
-        config_.explorer, first_day, gc);
-  }
-
-  ModelVersionMeta meta;
-  meta.watermark_day = fp32_meta.watermark_day;
-  meta.journal_records = fp32_meta.journal_records;
-  meta.quantized = true;
-  meta.approved = report.approved;
-  meta.gate_gain = report.gain;
-  meta.gate_json = report.to_json();
-
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  const core::QuantizedCostModel& qref = *qmodel;
-  meta = registry_.publish(
-      [&qref](const std::string& path) { qref.save(path); }, meta);
-  n_quant_published_.fetch_add(1, std::memory_order_relaxed);
-  c_published->add();
-  auto snap = std::make_shared<ModelSnapshot>();
-  snap->version = meta.version;
-  snap->quantized = true;
-  snap->model = std::shared_ptr<const core::CostModel>(qmodel.release());
-  loaded_[meta.version] = snap;
-  if (meta.approved) {
-    swap_snapshot(std::move(snap));
-    n_quant_approved_.fetch_add(1, std::memory_order_relaxed);
-    c_approved->add();
-    std::lock_guard<std::mutex> mlock(monitor_mu_);
-    monitor_.reset();
-    return true;
-  }
-  n_quant_rejected_.fetch_add(1, std::memory_order_relaxed);
-  c_rejected->add();
   return false;
 }
 
@@ -527,18 +437,10 @@ std::shared_ptr<const ModelSnapshot> OptimizerService::snapshot_for(
   if (it != loaded_.end()) return it->second;
   auto snap = std::make_shared<ModelSnapshot>();
   snap->version = meta.version;
-  snap->quantized = meta.quantized;
-  if (meta.quantized) {
-    auto model = std::make_unique<core::QuantizedCostModel>(
-        encoder_.feature_dim(), config_.predictor);
-    model->load(meta.checkpoint_path);
-    snap->model = std::shared_ptr<const core::CostModel>(model.release());
-  } else {
-    auto model = std::make_unique<AdaptiveCostPredictor>(encoder_.feature_dim(),
-                                                         config_.predictor);
-    model->load(meta.checkpoint_path);
-    snap->model = std::shared_ptr<const core::CostModel>(model.release());
-  }
+  auto model = std::make_unique<AdaptiveCostPredictor>(encoder_.feature_dim(),
+                                                       config_.predictor);
+  model->load(meta.checkpoint_path);
+  snap->model = std::shared_ptr<const core::CostModel>(model.release());
   loaded_[meta.version] = snap;
   return snap;
 }
@@ -552,10 +454,7 @@ std::shared_ptr<const ModelSnapshot> OptimizerService::swap_snapshot(
   static obs::Histogram* const h_pause = obs::Registry::instance().histogram(
       "loam.serve.swap_pause_seconds",
       obs::Histogram::exponential_bounds(1e-8, 4.0, 14));
-  static obs::Gauge* const g_quant =
-      obs::Registry::instance().gauge("loam.serve.quant.serving");
   const int version = next->version;
-  const bool quantized = next->quantized;
   // Announcement first, epoch second (release): a shard that sees the new
   // epoch is guaranteed to load at least this announcement. No shard is
   // paused here — each applies the swap at its own next batch boundary,
@@ -568,7 +467,6 @@ std::shared_ptr<const ModelSnapshot> OptimizerService::swap_snapshot(
   h_pause->observe(1e-9 * static_cast<double>(pause_ns));
   c_swaps->add();
   g_version->set(version);
-  g_quant->set(quantized ? 1.0 : 0.0);
   n_swaps_.fetch_add(1, std::memory_order_relaxed);
   return prev;
 }
@@ -646,7 +544,6 @@ std::string OptimizerService::serve_state_json() const {
   obs::JsonWriter w;
   w.begin_object();
   w.kv("active_version", active_version());
-  w.kv("active_quantized", announce_slot_.load()->quantized);
   w.kv("num_shards", num_shards());
   w.kv("monitor_mean_overrun", monitor_mean_overrun());
 
@@ -663,9 +560,6 @@ std::string OptimizerService::serve_state_json() const {
   w.kv("retrain_approved", s.retrain_approved);
   w.kv("retrain_rejected", s.retrain_rejected);
   w.kv("retrain_skipped", s.retrain_skipped);
-  w.kv("quant_published", s.quant_published);
-  w.kv("quant_approved", s.quant_approved);
-  w.kv("quant_rejected", s.quant_rejected);
   w.end_object();
 
   w.key("shards").begin_array();
@@ -718,9 +612,6 @@ OptimizerService::Stats OptimizerService::stats() const {
   s.retrain_approved = n_retrain_approved_.load(std::memory_order_relaxed);
   s.retrain_rejected = n_retrain_rejected_.load(std::memory_order_relaxed);
   s.retrain_skipped = n_retrain_skipped_.load(std::memory_order_relaxed);
-  s.quant_published = n_quant_published_.load(std::memory_order_relaxed);
-  s.quant_approved = n_quant_approved_.load(std::memory_order_relaxed);
-  s.quant_rejected = n_quant_rejected_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -123,12 +123,6 @@ class OptimizerService {
     std::uint64_t retrain_approved = 0;
     std::uint64_t retrain_rejected = 0;
     std::uint64_t retrain_skipped = 0;  // not enough journal data
-    // Quantized-sibling lifecycle (config.quant.enabled): published counts
-    // every int8 twin that reached the registry, approved/rejected split it
-    // by the twin's own deployment-gate verdict.
-    std::uint64_t quant_published = 0;
-    std::uint64_t quant_approved = 0;
-    std::uint64_t quant_rejected = 0;
   };
   // Request-path fields are summed across shards.
   Stats stats() const;
@@ -181,14 +175,6 @@ class OptimizerService {
 
   void bootstrap_journal();
   void retrain_task();
-  // Builds the int8 twin of a just-approved fp32 model (calibrated on the
-  // same journal replay that trained it), pushes it through its OWN
-  // deployment-gate run, publishes it as a `quantized = 1` registry version
-  // either way, and broadcasts the swap only on approval. Returns true when
-  // the quantized twin was approved and is now announced.
-  bool try_publish_quantized(const core::AdaptiveCostPredictor& fp32,
-                             const core::TrainingData& data, int first_day,
-                             const ModelVersionMeta& fp32_meta);
   // The "serve" state-provider payload for flight-recorder dump bundles:
   // active version, service stats, monitor overrun, and a per-shard table
   // (counters + pacing controller snapshot). Takes only introspection locks.
@@ -248,8 +234,6 @@ class OptimizerService {
   std::atomic<int> executed_since_retrain_{0};
   std::atomic<std::uint64_t> n_swaps_{0}, n_rollbacks_{0}, n_retrains_{0},
       n_retrain_approved_{0}, n_retrain_rejected_{0}, n_retrain_skipped_{0};
-  std::atomic<std::uint64_t> n_quant_published_{0}, n_quant_approved_{0},
-      n_quant_rejected_{0};
 };
 
 }  // namespace loam::serve

@@ -273,8 +273,6 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
       obs::Registry::instance().counter("loam.serve.batches");
   static obs::Counter* const c_fallback =
       obs::Registry::instance().counter("loam.serve.fallback_decisions");
-  static obs::Counter* const c_quant_decisions =
-      obs::Registry::instance().counter("loam.serve.quant.decisions");
   static obs::Histogram* const h_batch = obs::Registry::instance().histogram(
       "loam.serve.batch_size", obs::Histogram::linear_bounds(1.0, 1.0, 16));
   static obs::Histogram* const h_latency = obs::Registry::instance().histogram(
@@ -377,7 +375,6 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
     ServeDecision& d = decisions[i];
     if (snapshot->model != nullptr) {
       d.model_version = snapshot->version;
-      if (snapshot->quantized) c_quant_decisions->add();
       d.chosen = core::argmin(d.predicted);
       d.predicted_cost =
           d.predicted.empty() ? 0.0

@@ -65,25 +65,7 @@ namespace loam::serve {
 // model is the native-optimizer fallback snapshot.
 struct ModelSnapshot {
   int version = -1;
-  // True when `model` is the int8 QuantizedCostModel (registry meta
-  // `quantized`); feeds the loam.serve.quant.* decision counters.
-  bool quantized = false;
   std::shared_ptr<const core::CostModel> model;
-};
-
-// Opt-in int8 quantized serving (core/quant_model.h). When enabled, every
-// approved fp32 retrain is followed by a quantized twin: calibrated from the
-// same journal replay window, gated by the SAME DeploymentGate criteria as
-// any candidate model, and published to the registry as an ordinary version
-// with `quantized` metadata. Promotion is therefore a deployment verdict —
-// if the quantized version passes the gate it becomes latest_approved() and
-// serves; if it regresses in production the deviance monitor rolls it back
-// exactly like a fp32 version (landing on the fp32 sibling). The fp32 path
-// is bit-identical whether or not quantized versions exist in the registry.
-struct QuantConfig {
-  bool enabled = false;
-  // Freshest journal-replay examples used to calibrate activation scales.
-  int calibration_examples = 256;
 };
 
 struct ServeConfig {
@@ -116,7 +98,6 @@ struct ServeConfig {
                                          // candidate records during bootstrap
 
   core::PredictorConfig predictor;
-  QuantConfig quant;
   core::EncodingConfig encoding;
   core::PlanExplorer::Config explorer;
   core::DeploymentGateConfig gate;

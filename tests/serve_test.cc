@@ -1,7 +1,7 @@
 // Tests of the online optimizer service: native fallback, bootstrap +
 // gated promotion, hot-swap safety under concurrent serving (the TSan gate
-// certifies this suite), deviance-triggered rollback, and restart
-// continuity from the durable registry + journal.
+// certifies this suite), deviance-triggered rollback, restart continuity
+// from the durable registry + journal, and the registry meta parser.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -647,6 +649,79 @@ TEST(OptimizerService, VirtualClockMakesLatencyFieldsDeterministic) {
   const double delay_ms = snap.est_min_delay_seconds * 1e3;
   EXPECT_NEAR(delay_ms, std::round(delay_ms), 1e-9);
   service.stop();
+}
+
+TEST(ModelRegistry, MetaParserRejectsQuantizedAndMalformedFields) {
+  const std::string root =
+      (fs::temp_directory_path() /
+       ("loam_registry_meta_test_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(root);
+  core::PredictorConfig pc;
+  pc.hidden_dim = 8;
+  pc.embed_dim = 8;
+  {
+    ModelRegistry registry(root);
+    registry.publish(core::AdaptiveCostPredictor(6, pc), approved_meta());
+  }
+  const std::string meta_path = root + "/v000001.meta";
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(meta_path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  // The writer no longer emits the key at all.
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.rfind("quantized\t", 0), 0u) << line;
+  }
+
+  // Each case swaps the line for `key` (or appends one) and rescans.
+  struct Case {
+    const char* key;
+    const char* value;  // nullptr: the key is absent
+    bool throws;
+  };
+  const Case cases[] = {
+      {"quantized", "1", true},       {"quantized", "0", false},
+      {"quantized", nullptr, false},  {"version", "12abc", true},
+      {"gate_gain", "x", true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.key) + "=" + (c.value ? c.value : "<absent>"));
+    {
+      std::ofstream out(meta_path, std::ios::trunc);
+      bool replaced = false;
+      for (const std::string& line : lines) {
+        if (line.rfind(std::string(c.key) + "\t", 0) == 0) {
+          if (c.value != nullptr) out << c.key << '\t' << c.value << '\n';
+          replaced = true;
+        } else {
+          out << line << '\n';
+        }
+      }
+      if (!replaced && c.value != nullptr) {
+        out << c.key << '\t' << c.value << '\n';
+      }
+    }
+    if (c.throws) {
+      try {
+        ModelRegistry reopened(root);
+        ADD_FAILURE() << "scan accepted the meta";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(meta_path), std::string::npos) << what;
+        EXPECT_NE(what.find(c.key), std::string::npos) << what;
+      }
+    } else {
+      ModelRegistry reopened(root);
+      const auto meta = reopened.find(1);
+      ASSERT_TRUE(meta.has_value());
+      EXPECT_TRUE(meta->approved);
+      ASSERT_TRUE(reopened.latest_approved().has_value());
+      EXPECT_EQ(reopened.latest_approved()->version, 1);
+    }
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

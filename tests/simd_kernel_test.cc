@@ -1,10 +1,9 @@
 // Cross-arm identity suite for the runtime-dispatched SIMD kernels: every
 // compiled-and-runnable arm (scalar+fma, avx2, avx512) must produce exactly
-// the bits of the portable scalar arm — fp32 via the single-fmaf-chain
-// contract, int8 via exact integer arithmetic — over shapes whose tails
-// sweep 1..7 (and the vector widths' edges) in every dimension. Also pins
-// the 64-byte alignment of Mat/Workspace backing storage, the dispatch
-// override hooks, and the quantization round-trip error bound.
+// the bits of the portable scalar arm via the single-fmaf-chain contract,
+// over shapes whose tails sweep 1..7 (and the vector widths' edges) in every
+// dimension. Also pins the 64-byte alignment of Mat/Workspace backing
+// storage and the dispatch override hooks.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "nn/mat.h"
-#include "nn/quant.h"
 #include "nn/simd.h"
 #include "nn/workspace.h"
 #include "util/rng.h"
@@ -123,140 +121,6 @@ TEST(SimdKernel, GemmNtCrossArmBitIdentical) {
   run_cross_arm_fp32(&KernelOps::gemm_nt, false, true);
 }
 
-TEST(SimdKernel, GemmS8CrossArmExact) {
-  const KernelOps* ref = simd::kernel_ops_scalar();
-  ASSERT_NE(ref, nullptr);
-  Rng rng(4321);
-  const auto arms = runnable_arms();
-  for (const auto& s : sweep_shapes()) {
-    const int m = s[0], k = s[1], n = s[2];
-    std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
-    for (auto& v : a) {
-      v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    }
-    // Quantized weights via the real packer so the layout under test is the
-    // layout the serve path produces.
-    Mat w(k, n);
-    for (int kk = 0; kk < k; ++kk) {
-      for (int j = 0; j < n; ++j) {
-        w.at(kk, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
-      }
-    }
-    quant::S8Panel panel;
-    pack_s8_panel(w, quant::per_channel_scales({&w}), &panel);
-    ASSERT_EQ(panel.n_pad % quant::kPanelColAlign, 0);
-
-    const std::size_t c_len = static_cast<std::size_t>(m) * n;
-    std::vector<std::int32_t> base(c_len + 16);
-    for (auto& v : base) {
-      v = static_cast<std::int32_t>(rng.uniform_int(-1000, 1000));
-    }
-    std::vector<std::int32_t> want = base;
-    ref->gemm_s8(a.data(), panel.data.data(), want.data(), m, k, n,
-                 panel.n_pad);
-    for (const KernelOps* arm : arms) {
-      std::vector<std::int32_t> got = base;
-      arm->gemm_s8(a.data(), panel.data.data(), got.data(), m, k, n,
-                   panel.n_pad);
-      ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                            (c_len + 16) * sizeof(std::int32_t)),
-                0)
-          << arm->name << " int8 diverges at m=" << m << " k=" << k
-          << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernel, GemmS8RowsMatchesDenseAndCrossArm) {
-  // The CSR kernel over quantize_compact rows must equal the dense scalar
-  // gemm_s8 over the same quantized rows — including through child row-maps
-  // with negative (zero-row) entries — on every arm, exactly.
-  const KernelOps* ref = simd::kernel_ops_scalar();
-  ASSERT_NE(ref, nullptr);
-  Rng rng(8765);
-  auto arms = runnable_arms();
-  arms.push_back(ref);  // the scalar CSR kernel is under test too
-  for (const auto& s : sweep_shapes()) {
-    const int m = s[0], k = s[1], n = s[2];
-    // Mixed-sparsity activations: some zeros so compaction actually drops
-    // pairs, plus fully-zero rows.
-    Mat x(m, k);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < k; ++j) {
-        x.at(i, j) = rng.uniform(0.0, 1.0) < 0.4
-                         ? 0.0f
-                         : static_cast<float>(rng.uniform(-2.0, 2.0));
-      }
-    }
-    if (m > 2) {
-      for (int j = 0; j < k; ++j) x.at(1, j) = 0.0f;
-    }
-    const float sa = quant::tensor_scale(x);
-    std::vector<std::int8_t> qdense;
-    quant::quantize_activations(x, sa, &qdense);
-    quant::S8Rows rows;
-    quant::quantize_compact(x, sa, &rows);
-    ASSERT_EQ(rows.m, m);
-
-    Mat w(k, n);
-    for (int kk = 0; kk < k; ++kk) {
-      for (int j = 0; j < n; ++j) {
-        w.at(kk, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
-      }
-    }
-    quant::S8Panel panel;
-    pack_s8_panel(w, quant::per_channel_scales({&w}), &panel);
-
-    // Row map: identity prefix, a few permuted entries, and a -1.
-    std::vector<int> map(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) map[static_cast<std::size_t>(i)] = m - 1 - i;
-    map[0] = -1;
-
-    const std::size_t c_len = static_cast<std::size_t>(m) * n;
-    std::vector<std::int32_t> base(c_len + 16);
-    for (auto& v : base) {
-      v = static_cast<std::int32_t>(rng.uniform_int(-1000, 1000));
-    }
-    // Dense reference, identity mapping.
-    std::vector<std::int32_t> want_id = base;
-    ref->gemm_s8(qdense.data(), panel.data.data(), want_id.data(), m, k, n,
-                 panel.n_pad);
-    // Dense reference, mapped rows (gather by hand, zero row for -1).
-    std::vector<std::int8_t> gathered(static_cast<std::size_t>(m) * k, 0);
-    for (int i = 0; i < m; ++i) {
-      const int r = map[static_cast<std::size_t>(i)];
-      if (r < 0) continue;
-      std::memcpy(gathered.data() + static_cast<std::size_t>(i) * k,
-                  qdense.data() + static_cast<std::size_t>(r) * k,
-                  static_cast<std::size_t>(k));
-    }
-    std::vector<std::int32_t> want_map = base;
-    ref->gemm_s8(gathered.data(), panel.data.data(), want_map.data(), m, k, n,
-                 panel.n_pad);
-
-    for (const KernelOps* arm : arms) {
-      std::vector<std::int32_t> got = base;
-      arm->gemm_s8_rows(rows.pairs.data(), rows.pos.data(),
-                        rows.row_ptr.data(), nullptr, panel.data.data(),
-                        got.data(), m, n, panel.n_pad);
-      ASSERT_EQ(std::memcmp(got.data(), want_id.data(),
-                            (c_len + 16) * sizeof(std::int32_t)),
-                0)
-          << arm->name << " CSR identity diverges at m=" << m << " k=" << k
-          << " n=" << n;
-      got = base;
-      arm->gemm_s8_rows(rows.pairs.data(), rows.pos.data(),
-                        rows.row_ptr.data(), map.data(), panel.data.data(),
-                        got.data(), m, n, panel.n_pad);
-      ASSERT_EQ(std::memcmp(got.data(), want_map.data(),
-                            (c_len + 16) * sizeof(std::int32_t)),
-                0)
-          << arm->name << " CSR row-map diverges at m=" << m << " k=" << k
-          << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdKernel, MatmulEntryPointsHonorForcedArm) {
   // The Mat-level entry points must follow force_arch: run the same product
   // under every runnable arm and require identical bits end to end.
@@ -338,51 +202,6 @@ TEST(MatAlignment, WorkspaceBuffersAre64ByteAligned) {
   Mat again = ws.borrow(3, 5);  // pooled reuse keeps the aligned allocation
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(again.data()) % 64, 0u);
   ws.give_back(std::move(again));
-}
-
-TEST(Quantization, RoundTripErrorBounded) {
-  // Symmetric int8: for |x| <= max|tensor|, dequant(quant(x)) is within half
-  // a quantization step of x (round-to-nearest), and 0 maps to exactly 0.
-  // The bound carries a small slack because quantize_activations multiplies
-  // by a precomputed 1/s, which can round an exact-halfway element one step
-  // differently than a true divide.
-  Rng rng(99);
-  Mat x(16, 24);
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      x.at(i, j) = static_cast<float>(rng.uniform(-4.0, 4.0));
-    }
-  }
-  x.at(0, 0) = 0.0f;
-  const float s = quant::tensor_scale(x);
-  ASSERT_GT(s, 0.0f);
-  std::vector<std::int8_t> q;
-  quant::quantize_activations(x, s, &q);
-  const float bound = 0.5f * s * (1.0f + 1e-4f);
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      const float back =
-          static_cast<float>(q[static_cast<std::size_t>(i) * 24 + j]) * s;
-      EXPECT_LE(std::fabs(back - x.at(i, j)), bound)
-          << "x=" << x.at(i, j) << " s=" << s;
-    }
-  }
-  EXPECT_EQ(q[0], 0);
-}
-
-TEST(Quantization, PerChannelScalesAreJointAcrossMats) {
-  Mat w1(4, 3), w2(2, 3);
-  w1.at(0, 0) = 2.0f;
-  w2.at(1, 0) = -6.35f;  // dominates channel 0
-  w1.at(3, 1) = 1.27f;
-  // channel 2 all zero -> epsilon floor, quantizes to 0
-  const auto s = quant::per_channel_scales({&w1, &w2});
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_FLOAT_EQ(s[0], 6.35f / 127.0f);
-  EXPECT_FLOAT_EQ(s[1], 1.27f / 127.0f);
-  EXPECT_GT(s[2], 0.0f);
-  EXPECT_EQ(quant::quantize_one(w2.at(1, 0), s[0]), -127);
-  EXPECT_EQ(quant::quantize_one(0.0f, s[2]), 0);
 }
 
 }  // namespace
