@@ -28,25 +28,7 @@ PlanExplorer::PlanExplorer(const warehouse::NativeOptimizer* optimizer, Config c
   }
 }
 
-CandidateGeneration PlanExplorer::explore(const Query& query) const {
-  // Handles are registered once; recording below is branch-gated relaxed
-  // atomics and never feeds back into plan selection.
-  static obs::Counter* const c_explores =
-      obs::Registry::instance().counter("loam.explorer.explores");
-  static obs::Counter* const c_trials =
-      obs::Registry::instance().counter("loam.explorer.trials");
-  static obs::Counter* const c_kept =
-      obs::Registry::instance().counter("loam.explorer.candidates_kept");
-  static obs::Counter* const c_pruned =
-      obs::Registry::instance().counter("loam.explorer.candidates_pruned");
-  static obs::Histogram* const h_seconds = obs::Registry::instance().histogram(
-      "loam.explorer.explore_seconds",
-      obs::Histogram::exponential_bounds(1e-5, 4.0, 10));
-  obs::Span span(obs::Cat::kExplorer, "explore");
-  obs::ScopedTimer timer(h_seconds);
-
-  const auto start = std::chrono::steady_clock::now();
-
+std::vector<PlannerKnobs> PlanExplorer::trial_list(const Query& query) const {
   // Expert-curated trial list (Section 3: the six flags were "selected by
   // MaxCompute's domain experts because they are more likely to yield diverse
   // candidate plans, while remaining safe enough to avoid drastically bad
@@ -125,17 +107,46 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
       }
     }
   }
+  return trials;
+}
 
-  // Optimize every trial — concurrently when the pool exists. Trials are
+CandidateGeneration PlanExplorer::explore(const Query& query) const {
+  // Handles are registered once; recording below is branch-gated relaxed
+  // atomics and never feeds back into plan selection.
+  static obs::Counter* const c_explores =
+      obs::Registry::instance().counter("loam.explorer.explores");
+  static obs::Counter* const c_trials =
+      obs::Registry::instance().counter("loam.explorer.trials");
+  static obs::Counter* const c_elided =
+      obs::Registry::instance().counter("loam.explorer.trials_elided");
+  static obs::Counter* const c_kept =
+      obs::Registry::instance().counter("loam.explorer.candidates_kept");
+  static obs::Counter* const c_pruned =
+      obs::Registry::instance().counter("loam.explorer.candidates_pruned");
+  static obs::Histogram* const h_seconds = obs::Registry::instance().histogram(
+      "loam.explorer.explore_seconds",
+      obs::Histogram::exponential_bounds(1e-5, 4.0, 10));
+  obs::Span span(obs::Cat::kExplorer, "explore");
+  obs::ScopedTimer timer(h_seconds);
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<PlannerKnobs> trials = trial_list(query);
+
+  // Optimize the trials — concurrently when the pool exists. Trials are
   // independent: each one reads only the (const) catalog and query and
   // writes its own result slot; a trial that ever needs randomness must
   // derive it as Rng(seed).fork(i), never from a shared stream. Rough costs
-  // are evaluated on a COMMON estimate face (card_scale = 1) so trials that
-  // only deluded their own search face do not get to flatter themselves.
+  // and signatures are taken on the plans as optimize() annotates them,
+  // which is the COMMON estimate face (card_scale = 1): annotation never
+  // applies the scale, so trials that only deluded their own search face do
+  // not get to flatter themselves, and structurally identical plans found
+  // under different scales share a signature.
   struct TrialResult {
     Plan plan;
+    warehouse::KnobReads reads;
     std::uint64_t sig = 0;
     double rough = 0.0;
+    bool ran = false;
   };
   std::vector<TrialResult> results(trials.size());
   auto run_trial = [&](std::size_t i) {
@@ -144,31 +155,47 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
     obs::Span trial_span(obs::Cat::kExplorer, "optimize_trial",
                          static_cast<std::int64_t>(i));
     TrialResult& r = results[i];
-    Plan plan = optimizer_->optimize(query, trials[i]);
-    if (trials[i].card_scale != 1.0) {
-      // Re-annotate on the common face.
-      warehouse::CardEstimator common(optimizer_->catalog(), query, 1.0);
-      common.annotate(plan);
-    }
-    // Signatures cover the (bucketized) estimate annotations, so they must
-    // be taken on the common face — otherwise two structurally identical
-    // plans found under different card scales would defeat dedup.
-    r.sig = plan.signature();
-    r.rough = optimizer_->rough_cost(plan);
-    r.plan = std::move(plan);
+    r.plan = optimizer_->optimize(query, trials[i], &r.reads);
+    r.sig = r.plan.signature();
+    r.rough = optimizer_->rough_cost(r.plan);
+    r.ran = true;
   };
+  // Trial elision: a trial that agrees with an earlier executed trial j on
+  // every knob j's optimize() read would rebuild j's plan, and the merge
+  // below keeps only the first occurrence of a plan, so skipping it leaves
+  // the output unchanged.
+  auto repeats = [&](std::size_t i, std::size_t j) {
+    return results[j].ran && results[j].reads.agree(trials[i], trials[j]);
+  };
+  int optimized = 0;
   if (pool_ != nullptr) {
-    pool_->parallel_for(trials.size(), run_trial);
+    // Elide against the default trial only, then optimize the survivors
+    // concurrently.
+    run_trial(0);
+    std::vector<std::size_t> survivors;
+    for (std::size_t i = 1; i < trials.size(); ++i) {
+      if (!repeats(i, 0)) survivors.push_back(i);
+    }
+    pool_->parallel_for(survivors.size(),
+                        [&](std::size_t s) { run_trial(survivors[s]); });
+    optimized = 1 + static_cast<int>(survivors.size());
   } else {
-    for (std::size_t i = 0; i < trials.size(); ++i) run_trial(i);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      bool elide = false;
+      for (std::size_t j = 0; j < i && !elide; ++j) elide = repeats(i, j);
+      if (elide) continue;
+      run_trial(i);
+      ++optimized;
+    }
   }
 
-  // Serial merge in trial order: dedup by plan signature exactly as the
-  // legacy loop did, so the candidate set, ordering and costs do not depend
-  // on the thread count.
+  // Serial merge in trial order: dedup by plan signature, keeping the first
+  // occurrence, so the candidate set, ordering and costs depend neither on
+  // the thread count nor on which duplicates were elided.
   struct Candidate {
     Plan plan;
     PlannerKnobs knobs;
+    std::uint64_t sig = 0;
     double rough = 0.0;
     bool is_default = false;
   };
@@ -176,8 +203,9 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
   std::set<std::uint64_t> seen;
   double default_rough = 0.0;
   for (std::size_t i = 0; i < trials.size(); ++i) {
-    if (!seen.insert(results[i].sig).second) continue;
+    if (!results[i].ran || !seen.insert(results[i].sig).second) continue;
     Candidate c;
+    c.sig = results[i].sig;
     c.rough = results[i].rough;
     if (i == 0) default_rough = c.rough;
     c.plan = std::move(results[i].plan);
@@ -205,9 +233,11 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
 
   CandidateGeneration out;
   out.trials = static_cast<int>(trials.size());
+  out.optimized = optimized;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (candidates[i].is_default) out.default_index = static_cast<int>(i);
     out.plans.push_back(std::move(candidates[i].plan));
+    out.plan_sigs.push_back(candidates[i].sig);
     out.knobs.push_back(candidates[i].knobs);
     out.rough_costs.push_back(candidates[i].rough);
   }
@@ -215,6 +245,7 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   c_explores->add();
   c_trials->add(trials.size());
+  c_elided->add(trials.size() - static_cast<std::size_t>(optimized));
   c_kept->add(out.plans.size());
   c_pruned->add(trials.size() - out.plans.size());
   return out;

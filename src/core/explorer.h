@@ -6,6 +6,7 @@
 #ifndef LOAM_CORE_EXPLORER_H_
 #define LOAM_CORE_EXPLORER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -16,13 +17,20 @@ namespace loam::core {
 
 struct CandidateGeneration {
   std::vector<warehouse::Plan> plans;
+  // plans[c].signature(), computed once on the common estimate face; the
+  // serve path keys its score and encoding caches on these.
+  std::vector<std::uint64_t> plan_sigs;
   std::vector<warehouse::PlannerKnobs> knobs;
   // Engine rough cost of each kept plan on the common estimate face; the
   // parallel-determinism property tests compare these bit-for-bit.
   std::vector<double> rough_costs;
   int default_index = 0;        // position of the default plan in `plans`
   double generation_seconds = 0.0;
-  int trials = 0;               // knob settings attempted
+  int trials = 0;               // size of the trial list
+  // Native optimize() calls actually made: a trial that agrees with an
+  // earlier executed trial on that trial's knob read-set is elided, since
+  // it would rebuild that trial's plan and dedup would drop it.
+  int optimized = 0;
 };
 
 struct ExplorerConfig {
@@ -56,6 +64,10 @@ class PlanExplorer {
                Config config = ExplorerConfig());
 
   CandidateGeneration explore(const warehouse::Query& query) const;
+
+  // The knob settings explore() tries for `query`, in trial order; trial 0
+  // is the shipping default.
+  std::vector<warehouse::PlannerKnobs> trial_list(const warehouse::Query& query) const;
 
   const Config& config() const { return config_; }
   // Effective trial parallelism (config resolved against the hardware).

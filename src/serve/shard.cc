@@ -239,33 +239,26 @@ std::shared_ptr<const ModelSnapshot> ServeShard::snapshot_for_batch() {
   return slot_.load();
 }
 
-std::vector<std::uint64_t> ServeShard::explore_memoized(
-    const Query& query, CandidateGeneration* generation) {
+CandidateGeneration ServeShard::explore_memoized(const Query& query) {
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t key = query.signature();
-  if (std::optional<std::shared_ptr<const ExploreEntry>> hit =
+  if (std::optional<std::shared_ptr<const CandidateGeneration>> hit =
           explore_memo_.get(key)) {
     // A copy of the candidate set a fresh explore would rebuild bit for
     // bit; generation_seconds is what this request spent obtaining it.
-    *generation = (*hit)->generation;
-    generation->generation_seconds =
+    CandidateGeneration generation = **hit;
+    generation.generation_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    return (*hit)->plan_sigs;
+    return generation;
   }
-  *generation = explorer_.explore(query);
-  std::vector<std::uint64_t> plan_sigs;
-  plan_sigs.reserve(generation->plans.size());
-  for (const warehouse::Plan& plan : generation->plans) {
-    plan_sigs.push_back(plan.signature());
-  }
+  CandidateGeneration generation = explorer_.explore(query);
   if (seen_once_.get(key).has_value()) {
-    explore_memo_.put(key, std::make_shared<const ExploreEntry>(
-                               ExploreEntry{*generation, plan_sigs}));
+    explore_memo_.put(key, std::make_shared<const CandidateGeneration>(generation));
   } else {
     seen_once_.put(key, true);
   }
-  return plan_sigs;
+  return generation;
 }
 
 void ServeShard::process_batch(std::vector<Pending> batch) {
@@ -328,12 +321,11 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
       min_queue_ticks = queue_ticks;
     }
     try {
-      const std::vector<std::uint64_t> plan_sigs =
-          explore_memoized(batch[i].query, &d.generation);
+      d.generation = explore_memoized(batch[i].query);
       if (snapshot->model == nullptr) continue;  // fallback branch below
       d.predicted.assign(d.generation.plans.size(), 0.0);
       for (std::size_t c = 0; c < d.generation.plans.size(); ++c) {
-        const std::uint64_t psig = plan_sigs[c];
+        const std::uint64_t psig = d.generation.plan_sigs[c];
         const std::uint64_t skey = cache::InferenceCache::score_key(
             psig, env_fp_, snapshot->version);
         if (std::optional<double> hit = infer_cache_.get_score(skey);

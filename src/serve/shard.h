@@ -297,20 +297,12 @@ class ServeShard {
   // misses again within this many distinct misses of its first one.
   static constexpr std::size_t kDoorkeeperCapacity = 4 * kExploreMemoCapacity;
 
-  // One memoized exploration: the candidate set plus each plan's
-  // signature, which the score path keys on.
-  struct ExploreEntry {
-    core::CandidateGeneration generation;
-    std::vector<std::uint64_t> plan_sigs;
-  };
-  // Sets `*generation` to the exploration of `query` and returns its plan
-  // signatures: a copy of the memoized entry on a hit, a fresh explore on a
-  // miss. A miss is memoized only when the doorkeeper has seen the query
-  // before. Sound only because everything explore() reads besides the
-  // query — catalog, native optimizer, explorer config — is immutable for
-  // the shard's lifetime (see Env).
-  std::vector<std::uint64_t> explore_memoized(
-      const warehouse::Query& query, core::CandidateGeneration* generation);
+  // The exploration of `query`: a copy of the memoized one on a hit, a
+  // fresh explore on a miss. A miss is memoized only when the doorkeeper has
+  // seen the query before. Sound only because everything explore() reads
+  // besides the query — catalog, native optimizer, explorer config — is
+  // immutable for the shard's lifetime (see Env).
+  core::CandidateGeneration explore_memoized(const warehouse::Query& query);
 
   Env env_;
   // Per-shard explorer: same config as every other shard's, so exploration
@@ -322,7 +314,7 @@ class ServeShard {
   mutable cache::InferenceCache infer_cache_;
   // Query::signature() -> exploration. Written only by the batcher; off
   // together with infer_cache_ (CacheConfig::enabled).
-  cache::MemoTable<std::shared_ptr<const ExploreEntry>> explore_memo_;
+  cache::MemoTable<std::shared_ptr<const core::CandidateGeneration>> explore_memo_;
   // Explore-memo doorkeeper: signatures of queries that missed once. A
   // query enters the memo on its second miss, so never-repeated traffic
   // pays no entry copy and keeps no entry resident: on the adhoc perfbench

@@ -28,8 +28,8 @@ double default_selectivity(FilterFn fn) {
 }  // namespace
 
 CardEstimator::CardEstimator(const Catalog& catalog, const Query& query,
-                             double card_scale)
-    : catalog_(catalog), query_(query), card_scale_(card_scale) {}
+                             double card_scale, KnobReads* reads)
+    : catalog_(catalog), query_(query), card_scale_(card_scale), reads_(reads) {}
 
 double CardEstimator::base_rows(int table_id, bool truth) const {
   const Table& t = catalog_.table(table_id);
@@ -73,16 +73,18 @@ double CardEstimator::scan_rows(int table_id, bool truth) const {
   // Partition pruning: predicates on the partition column (column 0) reduce
   // the partitions actually read; engines can do this from metadata alone, so
   // even the estimated face applies the true pruning fraction.
-  for (const Predicate* p : query_.predicates_on(table_id)) {
-    if (p->column == 0) rows *= std::clamp(p->selectivity, 1e-9, 1.0);
+  for (const Predicate& p : query_.predicates) {
+    if (p.table_id == table_id && p.column == 0) {
+      rows *= std::clamp(p.selectivity, 1e-9, 1.0);
+    }
   }
   return std::max(1.0, rows);
 }
 
 double CardEstimator::residual_filter_selectivity(int table_id, bool truth) const {
   double sel = 1.0;
-  for (const Predicate* p : query_.predicates_on(table_id)) {
-    if (p->column != 0) sel *= pred_selectivity(*p, truth);
+  for (const Predicate& p : query_.predicates) {
+    if (p.table_id == table_id && p.column != 0) sel *= pred_selectivity(p, truth);
   }
   return std::clamp(sel, 1e-12, 1.0);
 }
@@ -125,7 +127,10 @@ double CardEstimator::subset_rows(std::uint32_t mask, bool truth) const {
       rows *= join_selectivity(j, truth);
     }
   }
-  if (!truth && count >= 3) rows *= card_scale_;
+  if (!truth && count >= 3) {
+    if (reads_ != nullptr) reads_->card_scale = true;
+    rows *= card_scale_;
+  }
   return std::max(1.0, rows);
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "warehouse/catalog.h"
+#include "warehouse/flags.h"
 #include "warehouse/plan.h"
 #include "warehouse/query.h"
 
@@ -25,7 +26,10 @@ namespace loam::warehouse {
 
 class CardEstimator {
  public:
-  CardEstimator(const Catalog& catalog, const Query& query, double card_scale = 1.0);
+  // `reads`, when given, records a read of `card_scale` each time
+  // subset_rows applies it (the native optimizer's knob read-set).
+  CardEstimator(const Catalog& catalog, const Query& query, double card_scale = 1.0,
+                KnobReads* reads = nullptr);
 
   // Rows produced by scanning `table_id` after partition pruning (predicates
   // on the table's partition column, by convention column 0).
@@ -38,6 +42,7 @@ class CardEstimator {
   // Cardinality of the join of the table subset given by `mask` (bit i set =
   // query.tables[i] participates), with all filters applied. Used by the
   // join-order search on the estimated face; `truth` gives the ground truth.
+  // The only member that applies card_scale.
   double subset_rows(std::uint32_t mask, bool truth) const;
 
   // Output rows of a grouped aggregation over `input_rows`.
@@ -62,6 +67,7 @@ class CardEstimator {
   const Catalog& catalog_;
   const Query& query_;
   double card_scale_ = 1.0;
+  KnobReads* reads_ = nullptr;
 };
 
 }  // namespace loam::warehouse

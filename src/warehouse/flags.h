@@ -10,6 +10,7 @@
 #define LOAM_WAREHOUSE_FLAGS_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -114,6 +115,25 @@ struct PlannerKnobs {
     }
     if (force_reorder) out += " force_reorder";
     return out;
+  }
+};
+
+// The knob fields one NativeOptimizer::optimize call actually consulted (its
+// read-set). optimize is a deterministic function of the query and of the
+// knob values it reads, so a knob vector that agrees with an earlier call's
+// knobs on every field of that call's read-set yields the identical plan.
+struct KnobReads {
+  std::uint64_t flags = 0;  // bit f set = Flag f was tested
+  bool card_scale = false;
+  bool force_reorder = false;
+
+  // True when `a` and `b` agree on every field of this read-set; scales are
+  // compared by their bits.
+  bool agree(const PlannerKnobs& a, const PlannerKnobs& b) const {
+    if (((a.flags.signature() ^ b.flags.signature()) & flags) != 0) return false;
+    if (force_reorder && a.force_reorder != b.force_reorder) return false;
+    return !card_scale || std::bit_cast<std::uint64_t>(a.card_scale) ==
+                              std::bit_cast<std::uint64_t>(b.card_scale);
   }
 };
 

@@ -263,11 +263,9 @@ NativeOptimizer::JoinTree NativeOptimizer::order_syntactic(const Query& query) c
 // ---------------------------------------------------------------------------
 
 Plan NativeOptimizer::build_physical(const Query& query, const JoinTree& tree,
-                                     const PlannerKnobs& knobs,
+                                     const KnobView& view,
                                      const CardEstimator& cards) const {
   Plan plan;
-  const bool pushdown = knobs.flags.test(Flag::kAggressiveFilterPushdown);
-  const bool spool = knobs.flags.test(Flag::kSpoolReuse);
 
   // Columns each table contributes to the query (for columns_accessed).
   auto columns_used = [&](int table_id) {
@@ -299,14 +297,17 @@ Plan NativeOptimizer::build_physical(const Query& query, const JoinTree& tree,
     // Spool reuse keys on the underlying storage, so a snapshot alias of an
     // already-scanned table also qualifies.
     const int storage_id = t.alias_of >= 0 ? t.alias_of : table_id;
-    const bool reuse = spool && scanned_tables.contains(storage_id);
+    const bool reuse =
+        scanned_tables.contains(storage_id) && view.flag(Flag::kSpoolReuse);
     scan.op = reuse ? OpType::kSpoolRead : OpType::kTableScan;
     scanned_tables.insert(storage_id);
     scan.table_id = table_id;
     scan.schema_epoch = t.schema_epoch;
     double prune = 1.0;
-    for (const Predicate* p : query.predicates_on(table_id)) {
-      if (p->column == 0) prune *= std::clamp(p->selectivity, 1e-9, 1.0);
+    for (const Predicate& p : query.predicates) {
+      if (p.table_id == table_id && p.column == 0) {
+        prune *= std::clamp(p.selectivity, 1e-9, 1.0);
+      }
     }
     scan.partitions_accessed =
         std::max(1, static_cast<int>(std::ceil(t.num_partitions * prune)));
@@ -314,26 +315,25 @@ Plan NativeOptimizer::build_physical(const Query& query, const JoinTree& tree,
     scan.row_width = t.row_width;
     int node = plan.add_node(scan);
 
-    if (pushdown) {
-      // Residual predicates fuse into a Calc right above the scan.
-      std::vector<int> preds;
+    // With pushdown, residual predicates fuse into a Calc right above the
+    // scan; the flag matters only to a table that has some.
+    auto residual_here = [&](const Predicate& p) {
+      return p.table_id == table_id && p.column != 0;
+    };
+    if (std::any_of(query.predicates.begin(), query.predicates.end(), residual_here) &&
+        view.flag(Flag::kAggressiveFilterPushdown)) {
+      PlanNode calc;
+      calc.op = OpType::kCalc;
+      calc.left = node;
+      calc.table_id = table_id;
       for (std::size_t i = 0; i < query.predicates.size(); ++i) {
         const Predicate& p = query.predicates[i];
-        if (p.table_id == table_id && p.column != 0) preds.push_back(static_cast<int>(i));
+        if (!residual_here(p)) continue;
+        calc.filter_preds.push_back(static_cast<int>(i));
+        for (FilterFn fn : p.fns) calc.filter_fns.push_back(fn);
+        calc.filter_columns.push_back(catalog_.column_identifier(p.table_id, p.column));
       }
-      if (!preds.empty()) {
-        PlanNode calc;
-        calc.op = OpType::kCalc;
-        calc.left = node;
-        calc.table_id = table_id;
-        calc.filter_preds = preds;
-        for (int pi : preds) {
-          const Predicate& p = query.predicates[static_cast<std::size_t>(pi)];
-          for (FilterFn fn : p.fns) calc.filter_fns.push_back(fn);
-          calc.filter_columns.push_back(catalog_.column_identifier(p.table_id, p.column));
-        }
-        node = plan.add_node(calc);
-      }
+      node = plan.add_node(calc);
     }
     return node;
   };
@@ -381,19 +381,17 @@ Plan NativeOptimizer::build_physical(const Query& query, const JoinTree& tree,
         break;
       }
     }
-    const bool broadcast = knobs.flags.test(Flag::kEnableBroadcastJoin) &&
-                           build_stats_ok &&
-                           small <= config_.broadcast_threshold &&
-                           edge.form == JoinForm::kInner;
-    const bool merge = knobs.flags.test(Flag::kMergeJoinForSorted) &&
-                       !knobs.flags.test(Flag::kPreferHashJoin);
+    const bool broadcast = build_stats_ok && small <= config_.broadcast_threshold &&
+                           edge.form == JoinForm::kInner &&
+                           view.flag(Flag::kEnableBroadcastJoin);
 
     if (broadcast) {
       // Replicate the small side; the big side keeps its partitioning.
       join.op = OpType::kBroadcastHashJoin;
       if (left_rows < right_rows) std::swap(left, right);
       right = add_exchange(right, OpType::kBroadcastExchange);
-    } else if (merge) {
+    } else if (view.flag(Flag::kMergeJoinForSorted) &&
+               !view.flag(Flag::kPreferHashJoin)) {
       join.op = OpType::kMergeJoin;
       left = add_exchange(left, OpType::kExchange);
       right = add_exchange(right, OpType::kExchange);
@@ -419,25 +417,22 @@ Plan NativeOptimizer::build_physical(const Query& query, const JoinTree& tree,
 
   int node = build(tree.root);
 
-  if (!pushdown) {
-    // All residual predicates evaluate late, above the final join.
-    std::vector<int> preds;
+  // Without pushdown, all residual predicates evaluate late, above the final
+  // join.
+  auto residual = [](const Predicate& p) { return p.column != 0; };
+  if (std::any_of(query.predicates.begin(), query.predicates.end(), residual) &&
+      !view.flag(Flag::kAggressiveFilterPushdown)) {
+    PlanNode filter;
+    filter.op = OpType::kFilter;
+    filter.left = node;
     for (std::size_t i = 0; i < query.predicates.size(); ++i) {
-      if (query.predicates[i].column != 0) preds.push_back(static_cast<int>(i));
+      const Predicate& p = query.predicates[i];
+      if (!residual(p)) continue;
+      filter.filter_preds.push_back(static_cast<int>(i));
+      for (FilterFn fn : p.fns) filter.filter_fns.push_back(fn);
+      filter.filter_columns.push_back(catalog_.column_identifier(p.table_id, p.column));
     }
-    if (!preds.empty()) {
-      PlanNode filter;
-      filter.op = OpType::kFilter;
-      filter.left = node;
-      filter.filter_preds = preds;
-      for (int pi : preds) {
-        const Predicate& p = query.predicates[static_cast<std::size_t>(pi)];
-        for (FilterFn fn : p.fns) filter.filter_fns.push_back(fn);
-        filter.filter_columns.push_back(
-            catalog_.column_identifier(p.table_id, p.column));
-      }
-      node = plan.add_node(filter);
-    }
+    node = plan.add_node(filter);
   }
 
   if (query.aggregation) {
@@ -449,7 +444,7 @@ Plan NativeOptimizer::build_physical(const Query& query, const JoinTree& tree,
         a.group_by_columns.push_back(catalog_.column_identifier(t, c));
       }
     };
-    if (knobs.flags.test(Flag::kPartialAggregation) && !agg.group_by.empty()) {
+    if (!agg.group_by.empty() && view.flag(Flag::kPartialAggregation)) {
       PlanNode partial;
       partial.op = OpType::kLocalHashAggregate;
       partial.left = node;
@@ -488,15 +483,18 @@ Plan NativeOptimizer::build_physical(const Query& query, const JoinTree& tree,
   return plan;
 }
 
-Plan NativeOptimizer::optimize(const Query& query, const PlannerKnobs& knobs) const {
+Plan NativeOptimizer::optimize(const Query& query, const PlannerKnobs& knobs,
+                               KnobReads* reads) const {
   if (query.tables.empty()) throw std::invalid_argument("query has no tables");
-  CardEstimator cards(catalog_, query, knobs.card_scale);
+  if (reads != nullptr) *reads = KnobReads{};
+  const KnobView view(knobs, reads);
+  CardEstimator cards(catalog_, query, knobs.card_scale, reads);
 
   JoinTree tree;
   if (query.tables.size() == 1) {
     tree.nodes.push_back({0, -1, -1, -1, 1u});
     tree.root = 0;
-  } else if (!reordering_enabled(query) && !knobs.force_reorder) {
+  } else if (!(reordering_enabled(query) || view.force_reorder())) {
     tree = order_syntactic(query);
   } else if (static_cast<int>(query.tables.size()) <= config_.dp_table_limit) {
     tree = order_dp(query, cards);
@@ -504,7 +502,7 @@ Plan NativeOptimizer::optimize(const Query& query, const PlannerKnobs& knobs) co
     tree = order_greedy(query, cards);
   }
 
-  Plan plan = build_physical(query, tree, knobs, cards);
+  Plan plan = build_physical(query, tree, view, cards);
   cards.annotate(plan);
   return plan;
 }

@@ -41,8 +41,12 @@ class NativeOptimizer {
 
   // Compiles and optimizes `query` under the given knob settings. The
   // returned plan is fully annotated (est_rows + true_rows) and staged
-  // lazily by the executor.
-  Plan optimize(const Query& query, const PlannerKnobs& knobs = PlannerKnobs()) const;
+  // lazily by the executor. When `reads` is given it is reset and then
+  // receives the knob fields this call consulted: every knob is read lazily,
+  // at its point of use, so a field the plan does not depend on is never
+  // recorded.
+  Plan optimize(const Query& query, const PlannerKnobs& knobs = PlannerKnobs(),
+                KnobReads* reads = nullptr) const;
 
   // The coarse cost the engine attaches to a plan from estimated
   // cardinalities; the plan explorer uses it to retain the top-k candidates
@@ -70,12 +74,33 @@ class NativeOptimizer {
     int root = -1;
   };
 
+  // The only access optimize() and build_physical() have to the flag and
+  // reorder knobs; each read is recorded in the caller's read-set, if any.
+  // (card_scale is recorded by CardEstimator::subset_rows, where it applies.)
+  class KnobView {
+   public:
+    KnobView(const PlannerKnobs& knobs, KnobReads* reads)
+        : knobs_(knobs), reads_(reads) {}
+    bool flag(Flag f) const {
+      if (reads_ != nullptr) reads_->flags |= 1ull << static_cast<int>(f);
+      return knobs_.flags.test(f);
+    }
+    bool force_reorder() const {
+      if (reads_ != nullptr) reads_->force_reorder = true;
+      return knobs_.force_reorder;
+    }
+
+   private:
+    const PlannerKnobs& knobs_;
+    KnobReads* reads_;
+  };
+
   JoinTree order_dp(const Query& query, const CardEstimator& cards) const;
   JoinTree order_greedy(const Query& query, const CardEstimator& cards) const;
   JoinTree order_syntactic(const Query& query) const;
 
   Plan build_physical(const Query& query, const JoinTree& tree,
-                      const PlannerKnobs& knobs, const CardEstimator& cards) const;
+                      const KnobView& knobs, const CardEstimator& cards) const;
 
   const Catalog& catalog_;
   NativeOptimizerConfig config_;

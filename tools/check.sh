@@ -21,7 +21,8 @@
 #     or a blocked-GEMM speedup below 4x when a vector arm is dispatched);
 #   - obs overhead (BENCH_obs.json, fails if disabled sites cost > 50 ns);
 #   - CLI observability export (--metrics-out/--trace-out JSON validated with
-#     python3 -m json.tool, trace summarized by tools/trace_summary.py);
+#     python3 -m json.tool, trace summarized by tools/trace_summary.py, and
+#     0 < loam.explorer.trials_elided < loam.explorer.trials asserted);
 #   - CLI flag hygiene (an unknown flag must fail with usage, not be ignored);
 #   - serving soak (loam_sim_cli serve) and serving latency/swap-pause bench
 #     (BENCH_serve.json, fails if a swap ever pauses requests > 1 ms or the
@@ -120,6 +121,17 @@ fi
 python3 -m json.tool "${BUILD_DIR}/obs_metrics.json" > /dev/null
 python3 -m json.tool "${BUILD_DIR}/obs_trace.json" > /dev/null
 python3 tools/trace_summary.py "${BUILD_DIR}/obs_trace.json" --top 10
+# Trial elision must be live: some trials elided, never all of them. The
+# bit-identity suites cannot see elision being switched off; this can.
+python3 - "${BUILD_DIR}/obs_metrics.json" <<'EOF'
+import json, sys
+counters = {m["name"]: m["value"] for m in json.load(open(sys.argv[1]))["metrics"]
+            if m["type"] == "counter"}
+trials = counters["loam.explorer.trials"]
+elided = counters["loam.explorer.trials_elided"]
+assert 0 < elided < trials, (elided, trials)
+print("explorer trials elided: %d of %d" % (elided, trials))
+EOF
 
 echo "== CLI flag hygiene smoke (unknown flag must be rejected) =="
 rc=0
@@ -193,11 +205,13 @@ done
 echo "== Flight-recorder smoke (--record --dump-on-alert + obs_report) =="
 # Paced 4-shard soak with the recorder sampling at 25ms and a 32x burst at
 # the end: 1024 fresh queries submitted by one thread per shard. A
-# model-path request costs a whole exploration, a shed one native optimize,
-# so every shard is overloaded by construction and sheds ~0.8-0.9 of the
-# burst (10 of 10 runs fired on a 4-vCPU host). The serve.shed_ratio SLO rule
-# must fire and leave an alert dump on disk (alongside any other incident and
-# shutdown bundles).
+# model-path request costs an exploration (a native optimize for each trial
+# whose knob read-set does not repeat an earlier trial's, ~4-8 of ~10) plus
+# scoring, a shed one a single native optimize, so every shard is overloaded
+# by construction and sheds most of the burst (~0.8-0.9 in 10 of 10 runs
+# before trial elision, 0.92 after it, on a 4-vCPU host). The
+# serve.shed_ratio SLO rule must fire and leave an alert dump on disk
+# (alongside any other incident and shutdown bundles).
 # Every bundle must pass the obs_report schema validator and render.
 rm -rf "${BUILD_DIR}/flight_state" "${BUILD_DIR}/flight_dumps"
 mkdir -p "${BUILD_DIR}/flight_dumps"
